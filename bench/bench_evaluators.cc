@@ -2,7 +2,8 @@
 /// Cross-cutting evaluator ablation (DESIGN.md §3, §9) on the paper's own
 /// update programs (REACH_u and PARITY):
 ///   * naive substitute-and-test (reference semantics, O(n^arity) points);
-///   * algebra with per-call re-planning (the pre-plan-cache behavior);
+///   * algebra compiling a fresh plan on every evaluation (the replan
+///     baseline: the same planner and executor, no plan cache);
 ///   * algebra with compile-once plans (planner runs at load time only);
 ///   * compiled plans probing persistent relation indexes (the default).
 /// Each run reports plan-cache hit rate and per-update planner invocations
@@ -215,9 +216,9 @@ const relational::Structure& ReachStructure(size_t n) {
 /// The hot shape the plan/index layer targets: per-update evaluation of the
 /// paper's request-local subformulas. SameTree(x, $0) — "x is in the updated
 /// vertex's tree" — appears in every reach_u update rule; with re-planning
-/// each evaluation plans the formula and scans all of PV, while a compiled
-/// plan replays instantly and probes the persistent PV index with the pinned
-/// parameter. Output stays small (one tree), so this isolates evaluator
+/// each evaluation compiles the formula and scans all of PV, while a
+/// compiled plan replays instantly and probes the persistent PV index with
+/// the pinned parameter. Output stays small (one tree), so this isolates evaluator
 /// overhead rather than inherent result materialization.
 void RunLocality(benchmark::State& state, const Variant& variant) {
   const size_t n = static_cast<size_t>(state.range(0));

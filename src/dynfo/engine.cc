@@ -446,20 +446,23 @@ void Engine::RebuildCompiledState() {
   PrecompileProgram();
 }
 
-core::Status Engine::TryApply(const relational::Request& request,
-                              const ApplyGovernance& governance,
-                              std::optional<ExecTier> tier, ApplyReport* report) {
+void Engine::CheckTrustedRequest(const relational::Request& request) const {
   DYNFO_CHECK(!(program_->semi_dynamic() &&
                 request.kind == relational::RequestKind::kDelete))
       << program_->name() << " is semi-dynamic (Dyn_s): deletes are not supported";
+}
 
+core::Status Engine::TryApply(const relational::Request& request,
+                              const ApplyGovernance& governance,
+                              std::optional<ExecTier> tier, BatchReport* report) {
   // Dense whole-request fast path, ungoverned form: checked before any
   // governance scaffolding or clocks — the kernels answer small-universe
   // requests in well under the cost of a steady_clock read. `report`
-  // callers fall through (the legacy path owns report bookkeeping), as do
+  // callers fall through (the batch path owns report bookkeeping), as do
   // tier-pinned requests (the ladder's tiers are the hash evaluators).
   if (!governance.active() && report == nullptr && !tier.has_value() &&
       !dense_rules_.empty()) {
+    CheckTrustedRequest(request);
     switch (TryDenseApply(request, nullptr)) {
       case DenseApplyOutcome::kApplied:
         return core::Status();
@@ -469,50 +472,8 @@ core::Status Engine::TryApply(const relational::Request& request,
         break;
     }
   }
-
-  // Governance setup. An inactive governance keeps `governor` null so every
-  // poll below is one pointer compare — the ungoverned hot path is the
-  // legacy Apply, unchanged.
-  const bool governed = governance.active();
-  core::ResourceBudget budget(governance.limits);
-  if (governance.fail_alloc_after_charges != 0) {
-    budget.FailAfterCharges(governance.fail_alloc_after_charges);
-  }
-  core::ExecGovernor governor_storage(
-      governance.deadline_ms == 0 ? core::Deadline::Infinite()
-                                  : core::Deadline::AfterMillis(governance.deadline_ms),
-      governance.cancel, &budget);
-  if (governance.trip_after_checks != 0) {
-    governor_storage.TripAtCheck(governance.trip_after_checks);
-  }
-  if (governance.stall_at_check != 0) {
-    governor_storage.StallAtCheck(governance.stall_at_check, governance.stall_ms);
-  }
-  const core::ExecGovernor* governor = governed ? &governor_storage : nullptr;
-
-  auto fill_report = [&] {
-    if (report == nullptr) return;
-    report->code = governed ? governor_storage.code() : core::StatusCode::kOk;
-    report->governor_checks = governed ? governor_storage.checks() : 0;
-    report->tuples_charged = budget.tuples_charged();
-    report->bytes_charged = budget.bytes_charged();
-  };
-
-  // Untrusted callers reach the engine through governance; malformed
-  // requests become typed errors instead of downstream CHECK failures.
-  // The ungoverned path keeps the legacy trusted-caller contract.
-  if (governed) {
-    core::Status valid = relational::ValidateRequest(
-        *program_->input_vocabulary(), data_.universe_size(), request);
-    if (!valid.ok()) {
-      fill_report();
-      return valid;
-    }
-  }
-
-  core::Status status = ApplyCore(request, governor, tier);
-  fill_report();
-  return status;
+  return ApplyRequests(std::span<const relational::Request>(&request, 1), governance,
+                       tier, report);
 }
 
 void Engine::ApplyBatch(std::span<const relational::Request> requests) {
@@ -523,16 +484,24 @@ void Engine::ApplyBatch(std::span<const relational::Request> requests) {
 core::Status Engine::TryApplyBatch(std::span<const relational::Request> requests,
                                    const ApplyGovernance& governance,
                                    BatchReport* report) {
-  for (const relational::Request& request : requests) {
-    DYNFO_CHECK(!(program_->semi_dynamic() &&
-                  request.kind == relational::RequestKind::kDelete))
-        << program_->name()
-        << " is semi-dynamic (Dyn_s): deletes are not supported";
+  BatchReport local;
+  core::Status status = ApplyRequests(requests, governance, std::nullopt, &local);
+  if (local.applied > 0) {
+    ++stats_.batches;
+    stats_.batch_requests += local.applied;
   }
+  if (report != nullptr) *report = local;
+  return status;
+}
 
-  // One governor for the whole batch: the deadline, cancellation token, and
-  // resource budget cover every request in it, and the setup cost — the
-  // per-request constant a batch amortizes — is paid once.
+core::Status Engine::ApplyRequests(std::span<const relational::Request> requests,
+                                   const ApplyGovernance& governance,
+                                   std::optional<ExecTier> tier, BatchReport* report) {
+  // One governor for the whole sequence: the deadline, cancellation token,
+  // and resource budget cover every request in it, and the setup cost — the
+  // per-request constant a batch amortizes — is paid once. An inactive
+  // governance keeps `governor` null so every poll below is one pointer
+  // compare.
   const bool governed = governance.active();
   core::ResourceBudget budget(governance.limits);
   if (governance.fail_alloc_after_charges != 0) {
@@ -551,32 +520,29 @@ core::Status Engine::TryApplyBatch(std::span<const relational::Request> requests
   const core::ExecGovernor* governor = governed ? &governor_storage : nullptr;
 
   size_t applied = 0;
-  auto fill_report = [&] {
-    if (report == nullptr) return;
-    report->code = governed ? governor_storage.code() : core::StatusCode::kOk;
-    report->applied = applied;
-    report->governor_checks = governed ? governor_storage.checks() : 0;
-    report->tuples_charged = budget.tuples_charged();
-    report->bytes_charged = budget.bytes_charged();
-  };
-  auto fold_batch_stats = [&] {
-    if (applied == 0) return;
-    ++stats_.batches;
-    stats_.batch_requests += applied;
+  auto finish = [&](core::Status status) {
+    if (report != nullptr) {
+      report->code = governed ? governor_storage.code() : core::StatusCode::kOk;
+      report->applied = applied;
+      report->governor_checks = governed ? governor_storage.checks() : 0;
+      report->tuples_charged = budget.tuples_charged();
+      report->bytes_charged = budget.bytes_charged();
+    }
+    return status;
   };
 
-  // One validation sweep up front: a malformed request anywhere in the
-  // batch rejects the WHOLE batch before any request applies, so a group
-  // commit never records a batch that was only partially acceptable.
-  if (governed) {
-    for (const relational::Request& request : requests) {
-      core::Status valid = relational::ValidateRequest(
-          *program_->input_vocabulary(), data_.universe_size(), request);
-      if (!valid.ok()) {
-        fill_report();
-        return valid;
-      }
+  // One acceptance sweep up front: a request the program does not accept
+  // anywhere in the sequence rejects ALL of it before anything applies, so
+  // a group commit never records a batch that was only partially
+  // acceptable. Untrusted callers reach the engine through governance and
+  // get typed errors instead of downstream CHECK failures.
+  for (const relational::Request& request : requests) {
+    if (!governed) {
+      CheckTrustedRequest(request);
+      continue;
     }
+    core::Status accepted = program_->ValidateRequest(request, data_.universe_size());
+    if (!accepted.ok()) return finish(accepted);
   }
 
   // Sequential synchronous steps — the ONLY evaluation order that is
@@ -585,17 +551,11 @@ core::Status Engine::TryApplyBatch(std::span<const relational::Request> requests
   // request stays individually atomic (evaluate-then-commit), so a governor
   // stop leaves the engine at the last fully-applied prefix.
   for (const relational::Request& request : requests) {
-    core::Status status = ApplyCore(request, governor, std::nullopt);
-    if (!status.ok()) {
-      fold_batch_stats();
-      fill_report();
-      return status;
-    }
+    core::Status status = ApplyCore(request, governor, tier);
+    if (!status.ok()) return finish(status);
     ++applied;
   }
-  fold_batch_stats();
-  fill_report();
-  return core::Status();
+  return finish(core::Status());
 }
 
 relational::RequestSequence Engine::MaterializeDefinableChange(
@@ -672,8 +632,9 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     }
   }
 
-  // Governed (or report-carrying) dense path: the same kernels with the
-  // governor polled at op and chunk boundaries. An abort mutates nothing.
+  // Governed (or report-carrying, or batched) dense path: the same kernels
+  // with the governor polled at op and chunk boundaries. An abort mutates
+  // nothing.
   if (!tier.has_value() && !dense_rules_.empty()) {
     switch (TryDenseApply(request, governor)) {
       case DenseApplyOutcome::kApplied:

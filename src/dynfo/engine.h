@@ -20,6 +20,12 @@
 ///     full-materialization path. This is the sequential-implementation
 ///     analogue of the paper's parallel O(1)-time update: only the changed
 ///     tuples are touched. See DESIGN.md §11.
+///
+/// One apply contract: a request is a batch of one. TryApply and
+/// TryApplyBatch run the same governor setup, acceptance sweep
+/// (DynProgram::ValidateRequest when governed), per-request core, and
+/// BatchReport; TryApply only adds the ungoverned dense-kernel fast path
+/// in front.
 
 #ifndef DYNFO_DYNFO_ENGINE_H_
 #define DYNFO_DYNFO_ENGINE_H_
@@ -73,8 +79,8 @@ inline const char* ExecTierName(ExecTier tier) {
 }
 
 /// Per-Apply resource governance. Default-constructed = inactive: TryApply
-/// then runs exactly the legacy ungoverned path (no governor, no polls, no
-/// request validation). Any non-default field activates governed execution.
+/// then runs the ungoverned trusted-caller path (no governor, no polls, no
+/// validation sweep). Any non-default field activates governed execution.
 struct ApplyGovernance {
   /// Wall-clock budget per Apply in milliseconds. 0 = no deadline;
   /// negative = already expired (pins the timeout path in tests).
@@ -97,18 +103,11 @@ struct ApplyGovernance {
   }
 };
 
-/// What a governed Apply observed, for callers tracking governance cost.
-struct ApplyReport {
-  core::StatusCode code = core::StatusCode::kOk;
-  uint64_t governor_checks = 0;
-  uint64_t tuples_charged = 0;
-  uint64_t bytes_charged = 0;
-};
-
-/// What a batched Apply observed. On a non-OK TryApplyBatch the engine
-/// holds exactly the first `applied` requests of the batch (the
-/// fully-applied prefix); the failing request and everything after it are
-/// untouched.
+/// What a TryApply or TryApplyBatch observed: the governor's verdict and
+/// poll/charge accounting, for callers tracking governance cost. On a
+/// non-OK return the engine holds exactly the first `applied` requests (the
+/// fully-applied prefix; 0 or 1 for TryApply); the failing request and
+/// everything after it are untouched.
 struct BatchReport {
   core::StatusCode code = core::StatusCode::kOk;
   size_t applied = 0;  ///< length of the fully-applied prefix
@@ -152,7 +151,8 @@ struct EngineOptions {
   size_t parallel_grain = 256;
   /// Compile each formula to a reusable plan once at load time instead of
   /// re-planning on every evaluation (fo/plan.h). Only meaningful in kAlgebra
-  /// mode; off = the pre-plan-cache behavior, kept for bench ablation.
+  /// mode; off = compile a fresh plan on every evaluation, the "replan"
+  /// bench ablation.
   bool use_compiled_plans = true;
   /// Maintain persistent per-column-subset indexes on the stored relations
   /// and let compiled atom joins probe them (relational/index.h). Only
@@ -242,26 +242,26 @@ class Engine {
   /// malformed requests; trusted-caller form of TryApply with no governance.
   void Apply(const relational::Request& request);
 
-  /// Governed Apply: evaluates under `governance` (deadline, cancellation,
-  /// resource budget), optionally pinned to an execution `tier` that
-  /// overrides the engine's configured evaluator/plan/index options for
-  /// this one request. On any non-OK return — kCancelled,
-  /// kDeadlineExceeded, kResourceExhausted, or kError for an invalid
-  /// request — the engine state is bit-identical to the pre-call state
+  /// Governed Apply: a batch of one (see TryApplyBatch), optionally pinned
+  /// to an execution `tier` that overrides the engine's configured
+  /// evaluator/plan/index options for this one request. On any non-OK
+  /// return — kCancelled, kDeadlineExceeded, kResourceExhausted, or kError
+  /// for a request the program does not accept (DynProgram::ValidateRequest)
+  /// — the engine state is bit-identical to the pre-call state
   /// (evaluate-then-commit; mid-request temporaries are rolled back) and
-  /// the stats counters are untouched. `report`, when non-null, receives
-  /// the governor's poll/charge accounting even on failure.
+  /// the stats counters are untouched. An ungoverned, unpinned call without
+  /// a report first tries the dense kernel fast path.
   core::Status TryApply(const relational::Request& request,
                         const ApplyGovernance& governance = {},
                         std::optional<ExecTier> tier = std::nullopt,
-                        ApplyReport* report = nullptr);
+                        BatchReport* report = nullptr);
 
   /// Applies a whole batch of requests as consecutive synchronous Dyn-FO
   /// steps — bit-identical to calling Apply on each request in order (each
   /// request sees its predecessors' effects) — while paying the batch-level
-  /// constants once: one governance/governor setup, one validation sweep,
-  /// and (through the recovery layer) one group-commit journal record and
-  /// one fsync. CHECK-fails on malformed requests; trusted-caller form of
+  /// constants once: one governance/governor setup and (through the
+  /// recovery layer) one group-commit journal record and one fsync.
+  /// CHECK-fails on malformed requests; trusted-caller form of
   /// TryApplyBatch with no governance.
   void ApplyBatch(std::span<const relational::Request> requests);
 
@@ -270,8 +270,9 @@ class Engine {
   /// Abort contract (prefix atomicity): each request remains individually
   /// atomic, so a mid-batch stop returns non-OK with the engine at the last
   /// fully-applied prefix — `report->applied` says how long it is — and no
-  /// effect of the failing request. A validation failure rejects the whole
-  /// batch before anything applies. An empty batch is an OK no-op.
+  /// effect of the failing request. Governed, one validation sweep runs
+  /// first: a request the program does not accept rejects the whole batch
+  /// before anything applies. An empty batch is an OK no-op.
   core::Status TryApplyBatch(std::span<const relational::Request> requests,
                              const ApplyGovernance& governance = {},
                              BatchReport* report = nullptr);
@@ -459,12 +460,24 @@ class Engine {
                                     EvalMode mode) const;
   const DeltaPlan& PlanFor(const UpdateRule& rule);
 
-  /// The per-request core shared by TryApply and TryApplyBatch: tier
-  /// resolution, the governed dense path, lets, staged evaluation, the
-  /// abort point, and the commit. `governor` null = the legacy ungoverned
-  /// path; non-null = governed under the CALLER's governor, which a batch
-  /// shares across all of its requests (one deadline/budget for the whole
-  /// batch). The caller owns request validation and report filling.
+  /// The apply contract shared by TryApply and TryApplyBatch: one governor
+  /// setup for the whole sequence, the acceptance sweep (typed errors when
+  /// governed, the trusted-caller CHECK otherwise), then ApplyCore per
+  /// request until the first failure, and the report.
+  core::Status ApplyRequests(std::span<const relational::Request> requests,
+                             const ApplyGovernance& governance,
+                             std::optional<ExecTier> tier, BatchReport* report);
+
+  /// The ungoverned trusted-caller contract: no validation sweep, but a
+  /// delete on a semi-dynamic program would leave its auxiliary state
+  /// silently stale, so it CHECK-fails instead.
+  void CheckTrustedRequest(const relational::Request& request) const;
+
+  /// The per-request core of ApplyRequests: tier resolution, the governed
+  /// dense path, lets, staged evaluation, the abort point, and the commit.
+  /// `governor` null = ungoverned; non-null = governed under the CALLER's
+  /// governor, which a batch shares across all of its requests (one
+  /// deadline/budget for the whole batch).
   core::Status ApplyCore(const relational::Request& request,
                          const core::ExecGovernor* governor,
                          std::optional<ExecTier> tier);
@@ -494,10 +507,11 @@ class Engine {
   void PrecompileProgram();
 
   /// Evaluation options derived from EngineOptions (operator-level threads
-  /// plus the compiled-plan/index gates).
+  /// plus the compiled-plan/index gates; indexes only with compiled plans).
   fo::EvalOptions eval_options() const {
     return {options_.num_threads, options_.parallel_grain,
-            options_.use_compiled_plans, options_.use_indexes};
+            options_.use_compiled_plans,
+            options_.use_compiled_plans && options_.use_indexes};
   }
 
   std::shared_ptr<const DynProgram> program_;

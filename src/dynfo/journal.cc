@@ -1,9 +1,6 @@
 #include "dynfo/journal.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -209,8 +206,6 @@ bool ParseRecord(const std::string& line, uint64_t expected_seq,
 
 }  // namespace
 
-std::string JournalHeader() { return "dynfo-journal v1\n"; }
-
 std::string FormatJournalRecord(uint64_t seq, const Request& request) {
   const std::string body = RecordBody(seq, request);
   return body + " c=" + core::HexU64(core::Fnv1a64(body)) + "\n";
@@ -226,140 +221,6 @@ std::string FormatBatchRecord(uint64_t first_seq,
   }
   return body.str() + " c=" + core::HexU64(core::Fnv1a64(body.str())) + "\n";
 }
-
-core::Result<JournalParse> ParseJournal(const std::string& text,
-                                        const Vocabulary& input,
-                                        size_t universe_size) {
-  JournalParse out;
-  const std::string header = JournalHeader();
-  if (text.size() < header.size()) {
-    // A crash can kill the process between creating the file and flushing
-    // the header; any prefix of the header is an empty journal, torn.
-    if (header.compare(0, text.size(), text) == 0) {
-      out.torn_tail = !text.empty();
-      return out;
-    }
-    return core::Status::Error("not a dynfo journal");
-  }
-  if (text.compare(0, header.size(), header) != 0) {
-    return core::Status::Error("not a dynfo journal (bad header)");
-  }
-  out.valid_bytes = header.size();
-
-  size_t pos = header.size();
-  size_t line_number = 1;
-  while (pos < text.size()) {
-    ++line_number;
-    const size_t nl = text.find('\n', pos);
-    const bool complete = nl != std::string::npos;
-    const std::string line =
-        complete ? text.substr(pos, nl - pos) : text.substr(pos);
-    std::string error = "incomplete record (no newline)";
-    const bool parsed =
-        complete && ParseRecord(line, out.requests.size(), input, universe_size,
-                                &out.requests, &error);
-    if (!parsed) {
-      const bool is_final_line = !complete || nl + 1 >= text.size();
-      if (is_final_line) {
-        // Torn tail: the expected shape of a crash mid-append. The clean
-        // prefix stands; the damaged final record is dropped. For a batch
-        // record this drops the WHOLE batch — a torn line never yields a
-        // partial batch.
-        out.torn_tail = true;
-        return out;
-      }
-      return core::Status::Error("journal line " + std::to_string(line_number) + ": " +
-                                 error);
-    }
-    pos = nl + 1;
-    out.valid_bytes = pos;
-  }
-  return out;
-}
-
-core::Result<JournalWriter> JournalWriter::Open(const std::string& path,
-                                                const Vocabulary& input,
-                                                size_t universe_size,
-                                                JournalWriterOptions options) {
-  std::string existing;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      existing = buffer.str();
-    }
-  }
-
-  JournalWriter writer;
-  writer.path_ = path;
-  writer.options_ = options;
-
-  bool need_header = existing.empty();
-  if (!existing.empty()) {
-    core::Result<JournalParse> parsed = ParseJournal(existing, input, universe_size);
-    if (!parsed.ok()) {
-      return core::Status::Error("journal " + path + ": " +
-                                 parsed.status().message());
-    }
-    writer.recovered_ = parsed.value().requests;
-    writer.torn_ = parsed.value().torn_tail;
-    writer.next_seq_ = writer.recovered_.size();
-    if (parsed.value().torn_tail) {
-      if (::truncate(path.c_str(), static_cast<off_t>(parsed.value().valid_bytes)) !=
-          0) {
-        return core::Status::Error("journal " + path + ": cannot drop torn tail");
-      }
-      need_header = parsed.value().valid_bytes == 0;
-    }
-  }
-
-  writer.file_.reset(std::fopen(path.c_str(), "ab"));
-  if (writer.file_ == nullptr) {
-    return core::Status::Error("journal " + path + ": cannot open for append");
-  }
-  if (need_header) {
-    const std::string header = JournalHeader();
-    if (std::fwrite(header.data(), 1, header.size(), writer.file_.get()) !=
-            header.size() ||
-        std::fflush(writer.file_.get()) != 0) {
-      return core::Status::Error("journal " + path + ": cannot write header");
-    }
-  }
-  return writer;
-}
-
-core::Status JournalWriter::Append(const Request& request) {
-  DYNFO_CHECK(file_ != nullptr) << "Append on a moved-from JournalWriter";
-  const std::string record = FormatJournalRecord(next_seq_, request);
-  if (std::fwrite(record.data(), 1, record.size(), file_.get()) != record.size() ||
-      std::fflush(file_.get()) != 0) {
-    return core::Status::Error("journal " + path_ + ": append failed");
-  }
-  if (options_.fsync_each_append && ::fsync(fileno(file_.get())) != 0) {
-    return core::Status::Error("journal " + path_ + ": fsync failed");
-  }
-  ++next_seq_;
-  return core::Status();
-}
-
-core::Status JournalWriter::AppendBatch(std::span<const Request> requests) {
-  if (requests.empty()) return core::Status();
-  if (requests.size() == 1) return Append(requests[0]);
-  DYNFO_CHECK(file_ != nullptr) << "AppendBatch on a moved-from JournalWriter";
-  const std::string record = FormatBatchRecord(next_seq_, requests);
-  if (std::fwrite(record.data(), 1, record.size(), file_.get()) != record.size() ||
-      std::fflush(file_.get()) != 0) {
-    return core::Status::Error("journal " + path_ + ": batch append failed");
-  }
-  if (options_.fsync_each_append && ::fsync(fileno(file_.get())) != 0) {
-    return core::Status::Error("journal " + path_ + ": fsync failed");
-  }
-  next_seq_ += requests.size();
-  return core::Status();
-}
-
-// --------------------------- segmented journal ---------------------------
 
 namespace {
 

@@ -1,39 +1,41 @@
 /// \file journal.h
-/// Append-only, crash-consistent journaling of applied requests.
+/// Crash-consistent durable storage for applied requests: a segmented
+/// journal with incremental checkpoints (DESIGN.md §12).
 ///
 /// The auxiliary relations are *live state* accumulated over an unbounded
 /// request stream, so a production engine must be reconstructible after a
-/// kill at any point. The journal records every applied request; together
-/// with a snapshot (engine.h) the state is rebuilt bit-identically:
-/// restore the snapshot, then replay the journal suffix past the
-/// snapshot's step counter.
+/// kill at any point. Records go into fixed-size *segments*; every segment
+/// rotation writes a *checkpoint* — a delta against the last full snapshot
+/// (cheap via the CoW overlays), with periodic full-snapshot consolidation
+/// — after which the covered segments are garbage-collected. A checksummed
+/// MANIFEST names the authoritative file set; it is replaced atomically
+/// (core/durable_io.h), so at every instant exactly one manifest governs and
+/// recovery replays at most one segment: O(checkpoint interval), not
+/// O(history).
 ///
-/// Format (one record per line, written with a single fwrite + flush):
-///   dynfo-journal v1
+/// Segment format (one record per line, each written with a single write):
+///   dynfo-segment v1 first=<seq>
 ///   <seq> ins <relation> <e1> <e2> ... c=<16 hex>
 ///   <seq> del <relation> <e1> <e2> ... c=<16 hex>
 ///   <seq> set <constant> <value> c=<16 hex>
 ///   <seq> batch <count> | ins <relation> <e...> | set <constant> <v> ... c=<16 hex>
 ///
-/// Each record carries its sequence number and an FNV-1a checksum of its
-/// body. A `batch` record is one group-committed line holding `count`
-/// sub-requests; it occupies sequence numbers [seq, seq+count) and is
-/// written — like every record — with a single fwrite + flush (+ one
-/// fsync), so a crash can only drop the WHOLE batch, never a prefix of it.
-/// The reader accepts the longest clean prefix: a damaged or incomplete
-/// FINAL record is a torn tail (the expected result of a crash mid-append)
-/// and is dropped with `torn_tail` set; any damage BEFORE the final record
-/// — a checksum mismatch, a sequence gap (dropped record), a repeated
-/// sequence number (duplicated record) — is unrecoverable corruption and
-/// yields an error Status. Every parsed request is validated against the
-/// input vocabulary and universe size, so replaying a parsed journal can
-/// never CHECK-crash the engine.
+/// Each record carries its absolute sequence number and an FNV-1a checksum
+/// of its body. A `batch` record is one group-committed line holding
+/// `count` sub-requests; it occupies sequence numbers [seq, seq+count), so
+/// a crash can only drop the WHOLE batch, never a prefix of it. The reader
+/// accepts the longest clean prefix: a damaged or incomplete FINAL record
+/// is a torn tail (the expected result of a crash mid-append) and is
+/// dropped with `torn_tail` set; any damage BEFORE the final record — a
+/// checksum mismatch, a sequence gap (dropped record), a repeated sequence
+/// number (duplicated record) — is unrecoverable corruption and yields an
+/// error Status. Every parsed request is validated against the input
+/// vocabulary and universe size, so replaying a parsed segment can never
+/// CHECK-crash the engine.
 
 #ifndef DYNFO_DYNFO_JOURNAL_H_
 #define DYNFO_DYNFO_JOURNAL_H_
 
-#include <cstdio>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,9 +48,6 @@
 
 namespace dynfo::dyn {
 
-/// "dynfo-journal v1\n" — the first line of every journal.
-std::string JournalHeader();
-
 /// One record line (terminated by '\n'), checksum included.
 std::string FormatJournalRecord(uint64_t seq, const relational::Request& request);
 
@@ -57,89 +56,6 @@ std::string FormatJournalRecord(uint64_t seq, const relational::Request& request
 /// [first_seq, first_seq + requests.size()).
 std::string FormatBatchRecord(uint64_t first_seq,
                               std::span<const relational::Request> requests);
-
-struct JournalParse {
-  relational::RequestSequence requests;  ///< the clean prefix, seq 0..k-1
-  size_t valid_bytes = 0;  ///< byte length of that prefix (incl. header)
-  bool torn_tail = false;  ///< a damaged/incomplete final record was dropped
-};
-
-/// Parses journal text, validating every record against the input
-/// vocabulary and universe size. See the file comment for the torn-tail
-/// vs. corruption contract.
-core::Result<JournalParse> ParseJournal(const std::string& text,
-                                        const relational::Vocabulary& input,
-                                        size_t universe_size);
-
-struct JournalWriterOptions {
-  /// fsync(2) after every append. Durability against power loss; off by
-  /// default (flush-per-append already survives process kills).
-  bool fsync_each_append = false;
-};
-
-/// Appends records to a journal file. Opening scans any existing journal,
-/// truncates a torn tail, and resumes the sequence numbering; appends are
-/// single-write + flush so a kill can only tear the final record.
-class JournalWriter {
- public:
-  static core::Result<JournalWriter> Open(const std::string& path,
-                                          const relational::Vocabulary& input,
-                                          size_t universe_size,
-                                          JournalWriterOptions options = {});
-
-  JournalWriter(JournalWriter&&) = default;
-  JournalWriter& operator=(JournalWriter&&) = default;
-
-  core::Status Append(const relational::Request& request);
-
-  /// Group commit: appends the whole batch as ONE record line with one
-  /// fwrite + flush (+ one fsync per options), so a crash either keeps the
-  /// whole batch or drops it entirely. Advances next_seq() by the batch
-  /// size. Batches of one fall back to a plain record; empty is a no-op.
-  core::Status AppendBatch(std::span<const relational::Request> requests);
-
-  /// Sequence number the next Append will write (= requests on disk).
-  uint64_t next_seq() const { return next_seq_; }
-
-  /// Records recovered from the file at Open (the clean prefix).
-  const relational::RequestSequence& recovered() const { return recovered_; }
-
-  /// Whether Open dropped a torn tail from the existing file.
-  bool truncated_torn_tail() const { return torn_; }
-
-  const std::string& path() const { return path_; }
-
- private:
-  JournalWriter() = default;
-
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-
-  std::unique_ptr<std::FILE, FileCloser> file_;
-  std::string path_;
-  JournalWriterOptions options_;
-  relational::RequestSequence recovered_;
-  bool torn_ = false;
-  uint64_t next_seq_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Segmented journal + incremental checkpoints (DESIGN.md §12)
-//
-// The single-file journal above grows without bound and recovery replay is
-// O(history). The DurableStore bounds both: records go into fixed-size
-// *segments* ("dynfo-segment v1 first=<seq>" header, then journal-v1 record
-// lines with absolute sequence numbers), and every segment rotation writes a
-// *checkpoint* — a delta against the last full snapshot (cheap via the CoW
-// overlays), with periodic full-snapshot consolidation — after which the
-// covered segments are garbage-collected. A checksummed MANIFEST names the
-// authoritative file set; it is replaced atomically (core/durable_io.h), so
-// at every instant exactly one manifest governs and recovery replays at most
-// one segment: O(checkpoint interval), not O(history).
-// ---------------------------------------------------------------------------
 
 /// "dynfo-segment v1 first=<seq>\n" — the first line of every segment.
 std::string SegmentHeader(uint64_t first_seq);
@@ -151,8 +67,8 @@ struct SegmentParse {
 };
 
 /// Parses one segment, validating the header's first-sequence against
-/// `expected_first` and every record against the input vocabulary. Same
-/// torn-tail-vs-corruption contract as ParseJournal.
+/// `expected_first` and every record against the input vocabulary. See the
+/// file comment for the torn-tail vs. corruption contract.
 core::Result<SegmentParse> ParseSegment(const std::string& text,
                                         const relational::Vocabulary& input,
                                         size_t universe_size,

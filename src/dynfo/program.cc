@@ -88,6 +88,17 @@ core::Status CheckRule(const relational::Vocabulary& data, const UpdateRule& rul
 
 }  // namespace
 
+core::Status DynProgram::ValidateRequest(const relational::Request& request,
+                                         size_t universe_size) const {
+  core::Status valid = relational::ValidateRequest(*input_, universe_size, request);
+  if (!valid.ok()) return valid;
+  if (semi_dynamic_ && request.kind == relational::RequestKind::kDelete) {
+    return core::Status::Error(name_ +
+                               " is semi-dynamic (Dyn_s): deletes are not supported");
+  }
+  return core::Status();
+}
+
 core::Status DynProgram::Validate() const {
   for (const UpdateRule& rule : init_) {
     core::Status s = CheckRule(*data_, rule, /*max_parameters=*/0, name_ + " init");

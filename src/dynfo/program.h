@@ -121,6 +121,14 @@ class DynProgram {
   void SetSemiDynamic(bool value) { semi_dynamic_ = value; }
   bool semi_dynamic() const { return semi_dynamic_; }
 
+  /// Whether this program accepts `request` at `universe_size`: the target
+  /// is in the input vocabulary with matching shape, every element is in
+  /// range (relational::ValidateRequest), and a semi-dynamic program is not
+  /// asked to delete. The one acceptance rule shared by the engine's
+  /// governed path, the recovery wrapper, and the CLI.
+  core::Status ValidateRequest(const relational::Request& request,
+                               size_t universe_size) const;
+
  private:
   std::string name_;
   std::shared_ptr<const relational::Vocabulary> input_;

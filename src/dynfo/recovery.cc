@@ -105,49 +105,18 @@ std::string GuardedEngine::Violation() const {
 }
 
 core::Status GuardedEngine::Apply(const relational::Request& request) {
-  core::Status valid =
-      relational::ValidateRequest(*program_->input_vocabulary(),
-                                  input_.universe_size(), request);
+  core::Status valid = program_->ValidateRequest(request, input_.universe_size());
   if (!valid.ok()) return valid;
-  if (program_->semi_dynamic() &&
-      request.kind == relational::RequestKind::kDelete) {
-    return core::Status::Error(program_->name() +
-                               " is semi-dynamic: deletes are not supported");
-  }
   if (options_.governance.active()) {
-    // Governed path: apply first (a cancelled/timed-out request leaves the
-    // engine untouched and must not be journaled as history), journal only
-    // what actually happened.
+    // A cancelled/timed-out request leaves the engine untouched and must
+    // not reach the store as history.
     core::Status applied = GovernedApply(request);
     if (!applied.ok()) return applied;
-    if (journal_.has_value()) {
-      core::Status journaled = journal_->Append(request);
-      if (!journaled.ok()) return journaled;
-    }
   } else {
-    if (journal_.has_value()) {
-      core::Status journaled = journal_->Append(request);
-      if (!journaled.ok()) return journaled;
-    }
     engine_->Apply(request);
   }
-  if (store_.has_value()) {
-    // Applied requests only reach the durable journal (matching the
-    // governed path's contract); an append failure here means the caller
-    // never gets an OK and recovery serves the pre-request state.
-    core::Status appended = store_->Append(request);
-    if (!appended.ok()) return appended;
-  }
-  relational::ApplyRequest(&input_, request);
-  ++stats_.requests;
-  if (store_.has_value() && store_->checkpoint_due()) {
-    core::Status checkpointed = WriteCheckpoint(/*force_full=*/false);
-    if (!checkpointed.ok()) return checkpointed;
-  }
-  if (options_.check_every > 0 && stats_.requests % options_.check_every == 0) {
-    return CheckNow();
-  }
-  return core::Status();
+  return CommitApplied(std::span<const relational::Request>(&request, 1),
+                       core::Status());
 }
 
 core::Status GuardedEngine::ApplyBatch(std::span<const relational::Request> requests,
@@ -158,20 +127,13 @@ core::Status GuardedEngine::ApplyBatch(std::span<const relational::Request> requ
   // One validation sweep before anything applies: the group commit must
   // never record a batch the wrapper would have rejected piecewise.
   for (const relational::Request& request : requests) {
-    core::Status valid =
-        relational::ValidateRequest(*program_->input_vocabulary(),
-                                    input_.universe_size(), request);
+    core::Status valid = program_->ValidateRequest(request, input_.universe_size());
     if (!valid.ok()) return valid;
-    if (program_->semi_dynamic() &&
-        request.kind == relational::RequestKind::kDelete) {
-      return core::Status::Error(program_->name() +
-                                 " is semi-dynamic: deletes are not supported");
-    }
   }
 
-  // Engine first, then journal: the applied prefix is only known after the
-  // batch runs, and a crash between apply and append is safe — the caller
-  // never got an OK, and recovery replays the pre-batch journal state.
+  // Engine first, then the store: the applied prefix is only known after
+  // the batch runs, and a crash between apply and append is safe — the
+  // caller never got an OK, and recovery serves the pre-batch state.
   BatchReport local;
   core::Status status =
       engine_->TryApplyBatch(requests, options_.governance.governance, &local);
@@ -189,41 +151,41 @@ core::Status GuardedEngine::ApplyBatch(std::span<const relational::Request> requ
     default:
       break;
   }
-
+  if (local.applied == 0) return status;
+  ++stats_.batches;
+  stats_.batch_requests += local.applied;
   // Group-commit exactly the applied prefix — one record, one fsync —
-  // whether the batch finished or aborted partway. The journal must match
+  // whether the batch finished or aborted partway: the store must match
   // the engine, and on abort the engine holds the prefix.
-  const std::span<const relational::Request> applied = requests.first(local.applied);
-  if (!applied.empty()) {
-    if (journal_.has_value()) {
-      core::Status journaled = journal_->AppendBatch(applied);
-      if (!journaled.ok()) return journaled;
-    }
-    if (store_.has_value()) {
-      core::Status appended = store_->AppendBatch(applied);
-      if (!appended.ok()) return appended;
-    }
-    for (const relational::Request& request : applied) {
-      relational::ApplyRequest(&input_, request);
-    }
-    const uint64_t before = stats_.requests;
-    stats_.requests += applied.size();
-    ++stats_.batches;
-    stats_.batch_requests += applied.size();
-    if (store_.has_value() && store_->checkpoint_due()) {
-      core::Status checkpointed = WriteCheckpoint(/*force_full=*/false);
-      if (!checkpointed.ok()) return checkpointed;
-    }
-    if (!status.ok()) return status;
-    // Cadence: at most one check per batch, when the batch crossed a
-    // check_every boundary (per-request Apply would have checked in between;
-    // batches trade that latency for throughput, see DESIGN.md §14).
-    if (options_.check_every > 0 &&
-        before / options_.check_every != stats_.requests / options_.check_every) {
-      return CheckNow();
-    }
+  return CommitApplied(requests.first(local.applied), status);
+}
+
+core::Status GuardedEngine::CommitApplied(std::span<const relational::Request> applied,
+                                          core::Status status) {
+  if (store_.has_value()) {
+    // An append failure means the caller never gets an OK and recovery
+    // serves the pre-request state.
+    core::Status appended = store_->AppendBatch(applied);
+    if (!appended.ok()) return appended;
   }
-  return status;
+  for (const relational::Request& request : applied) {
+    relational::ApplyRequest(&input_, request);
+  }
+  const uint64_t before = stats_.requests;
+  stats_.requests += applied.size();
+  if (store_.has_value() && store_->checkpoint_due()) {
+    core::Status checkpointed = WriteCheckpoint(/*force_full=*/false);
+    if (!checkpointed.ok()) return checkpointed;
+  }
+  if (!status.ok()) return status;
+  // Cadence: at most one check per call, when it crossed a check_every
+  // boundary (a batch trades the in-between checks per-request Apply would
+  // have run for throughput, see DESIGN.md §14).
+  if (options_.check_every > 0 &&
+      before / options_.check_every != stats_.requests / options_.check_every) {
+    return CheckNow();
+  }
+  return core::Status();
 }
 
 core::Status GuardedEngine::ApplyDefinable(const DefinableChange& change,
@@ -355,30 +317,6 @@ core::Status GuardedEngine::Recover(const std::string& reason) {
   return core::Status();
 }
 
-core::Status GuardedEngine::AttachJournal(const std::string& path,
-                                          JournalWriterOptions options) {
-  if (stats_.requests != 0 || journal_.has_value() || store_.has_value()) {
-    return core::Status::Error(
-        "AttachJournal must be called on a fresh GuardedEngine (and is "
-        "mutually exclusive with AttachDurability)");
-  }
-  core::Result<JournalWriter> writer = JournalWriter::Open(
-      path, *program_->input_vocabulary(), input_.universe_size(), options);
-  if (!writer.ok()) return writer.status();
-  journal_.emplace(std::move(writer).value());
-  for (const relational::Request& request : journal_->recovered()) {
-    if (program_->semi_dynamic() &&
-        request.kind == relational::RequestKind::kDelete) {
-      return core::Status::Error("journal replays a delete into semi-dynamic " +
-                                 program_->name());
-    }
-    engine_->Apply(request);
-    relational::ApplyRequest(&input_, request);
-    ++stats_.requests;
-  }
-  return core::Status();
-}
-
 std::string GuardedEngine::MakeSessionBlob() const {
   const std::string engine_blob = engine_->Snapshot();
   const std::string input_text = relational::WriteStructure(input_);
@@ -430,10 +368,9 @@ core::Status GuardedEngine::Compact() {
 
 core::Status GuardedEngine::AttachDurability(const std::string& dir,
                                              DurabilityOptions options) {
-  if (stats_.requests != 0 || journal_.has_value() || store_.has_value()) {
+  if (stats_.requests != 0 || store_.has_value()) {
     return core::Status::Error(
-        "AttachDurability must be called on a fresh GuardedEngine (and is "
-        "mutually exclusive with AttachJournal)");
+        "AttachDurability must be called on a fresh GuardedEngine");
   }
 
   if (!DurableStore::Exists(dir)) {
@@ -452,8 +389,7 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
 
   // Revive: full snapshot, then the delta checkpoint, then at most one
   // segment of journal replay. On any error the wrapper is partially
-  // restored — rebuild it before retrying (same contract as
-  // RestoreFromSnapshotAndJournal).
+  // restored — rebuild it before retrying.
   core::Result<DurableStore> opened = DurableStore::Open(
       dir, *program_->input_vocabulary(), input_.universe_size(), options.store);
   if (!opened.ok()) return opened.status();
@@ -521,10 +457,10 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
   }
 
   for (const relational::Request& request : store.recovered().replay) {
-    if (program_->semi_dynamic() &&
-        request.kind == relational::RequestKind::kDelete) {
-      return core::Status::Error("journal replays a delete into semi-dynamic " +
-                                 program_->name());
+    core::Status valid = program_->ValidateRequest(request, input_.universe_size());
+    if (!valid.ok()) {
+      return core::Status::Error("durable store " + dir + " replays a request " +
+                                 program_->name() + " refuses: " + valid.message());
     }
     engine_->Apply(request);
     relational::ApplyRequest(&input_, request);
@@ -544,33 +480,6 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
   // for the next recovery too.
   if (store_->checkpoint_due()) {
     return WriteCheckpoint(/*force_full=*/false);
-  }
-  return core::Status();
-}
-
-core::Status RestoreFromSnapshotAndJournal(
-    Engine* engine, const std::string& snapshot,
-    const relational::RequestSequence& journal_requests) {
-  core::Status restored = engine->Restore(snapshot);
-  if (!restored.ok()) return restored;
-  const uint64_t steps = engine->stats().requests;
-  if (steps > journal_requests.size()) {
-    return core::Status::Error(
-        "journal has " + std::to_string(journal_requests.size()) +
-        " records but the snapshot was taken at step " + std::to_string(steps) +
-        ": journal records were lost");
-  }
-  for (size_t i = steps; i < journal_requests.size(); ++i) {
-    core::Status valid = relational::ValidateRequest(
-        *engine->program().input_vocabulary(), engine->universe_size(),
-        journal_requests[i]);
-    if (!valid.ok()) return valid;
-    if (engine->program().semi_dynamic() &&
-        journal_requests[i].kind == relational::RequestKind::kDelete) {
-      return core::Status::Error("journal replays a delete into semi-dynamic " +
-                                 engine->program().name());
-    }
-    engine->Apply(journal_requests[i]);
   }
   return core::Status();
 }

@@ -18,9 +18,9 @@
 ///     post-init, and a replay of the input as its canonical request
 ///     history. If the rebuilt state still fails the checks, the defect is
 ///     in the program, not the state, and an error Status is returned;
-///   * optionally every applied request is journaled (journal.h), making
-///     the whole session reconstructible after a kill from the latest
-///     snapshot plus the journal suffix.
+///   * optionally every applied request goes to a durable store (journal.h,
+///     AttachDurability), making the whole session reconstructible after a
+///     kill from the latest checkpoint plus at most one journal segment.
 ///
 /// All failure paths return Status — nothing in this layer CHECK-crashes
 /// on bad input.
@@ -123,14 +123,17 @@ class GuardedEngine {
  public:
   /// `oracle` and `invariant` may each be null; corruption checks use
   /// whichever are present (a wrapper with neither never detects anything
-  /// and only provides journaling).
+  /// and only provides durability).
   GuardedEngine(std::shared_ptr<const DynProgram> program, size_t universe_size,
                 Oracle oracle, InvariantCheck invariant,
                 GuardedEngineOptions options = {});
 
-  /// Validates, journals (if attached), applies, and — on the cadence —
-  /// checks and recovers. An error Status means the request was rejected
-  /// (validation/journal failure, left unapplied) or recovery failed.
+  /// Validates (DynProgram::ValidateRequest), applies — through the
+  /// degradation ladder when governance is active — then commits: durable
+  /// append (if attached), input mirror, counters, checkpoint when due, and
+  /// on the cadence the corruption check with recovery. An error Status
+  /// means the request was rejected (left unapplied), the store append
+  /// failed, or recovery failed.
   core::Status Apply(const relational::Request& request);
 
   /// Applies `requests` as one group-committed batch (DESIGN.md §14).
@@ -143,7 +146,7 @@ class GuardedEngine {
   ///
   /// Abort contract (prefix atomicity): if governance trips mid-batch, the
   /// engine is left at the last fully-applied prefix; exactly that prefix is
-  /// group-committed to the journal/store and mirrored into the input, and
+  /// group-committed to the store and mirrored into the input, and
   /// `report->applied` says how long it is. The degradation ladder does not
   /// run for batches — a caller who wants ladder semantics applies requests
   /// one at a time.
@@ -163,27 +166,18 @@ class GuardedEngine {
   /// Forces start-over recovery regardless of check results.
   core::Status Recover(const std::string& reason);
 
-  /// Journals every subsequently applied request to `path`. Must be called
-  /// before any Apply; existing journal records are replayed through the
-  /// engine first (crash recovery), so after a successful attach the
-  /// wrapper has caught up to the journal's history. Durable by default:
-  /// each append is fsynced so an acknowledged request survives power
-  /// loss, not just a process kill (the overhead is measured and gated in
-  /// bench_recovery).
-  core::Status AttachJournal(const std::string& path,
-                             JournalWriterOptions options = {
-                                 /*fsync_each_append=*/true});
-
   /// Attaches the segmented durable store at `dir` (journal.h): every
   /// applied request is appended (fsynced) to the active segment, every
   /// filled segment triggers an incremental checkpoint — a session delta
   /// computed from the CoW overlays against the last full snapshot — and
   /// periodically a full-snapshot consolidation, after which covered
-  /// segments are garbage-collected. Must be called on a fresh wrapper
-  /// (like AttachJournal, with which it is mutually exclusive). If `dir`
-  /// already holds a store, the session is revived first: full snapshot +
-  /// delta checkpoint + at most one segment of replay, so recovery time is
-  /// O(checkpoint interval) regardless of history length.
+  /// segments are garbage-collected. Each append is fsynced by default, so
+  /// an acknowledged request survives power loss, not just a process kill.
+  /// Must be called on a fresh wrapper. If `dir` already holds a store, the
+  /// session is revived first: full snapshot + delta checkpoint + at most
+  /// one segment of replay, so recovery time is O(checkpoint interval)
+  /// regardless of history length. On any error the wrapper is partially
+  /// restored — rebuild it before retrying.
   core::Status AttachDurability(const std::string& dir,
                                 DurabilityOptions options = {});
 
@@ -228,6 +222,15 @@ class GuardedEngine {
   /// One request through the degradation ladder (see GovernancePolicy).
   core::Status GovernedApply(const relational::Request& request);
 
+  /// The commit tail shared by Apply and ApplyBatch, for requests the
+  /// engine has already applied: durable append (one record), input
+  /// mirror, request counter, checkpoint when due, and — unless `status`
+  /// (the engine's verdict on the rest of a batch) is an error, which is
+  /// returned instead — the cadence check when `applied` crossed a
+  /// check_every boundary.
+  core::Status CommitApplied(std::span<const relational::Request> applied,
+                             core::Status status);
+
   /// The full session (engine state + shadowed input + step counter) as a
   /// checksummed "session" blob, and the delta form against the base
   /// copies held since the last full snapshot.
@@ -244,7 +247,6 @@ class GuardedEngine {
   InvariantCheck invariant_;
   std::unique_ptr<Engine> engine_;
   relational::Structure input_;
-  std::optional<JournalWriter> journal_;
   std::optional<DurableStore> store_;
   /// Copy-on-write copies of the engine data and input at the last full
   /// snapshot — the delta base. O(1) to take, O(overlay) to diff against.
@@ -254,16 +256,6 @@ class GuardedEngine {
   RecoveryStats stats_;
   std::string last_quarantine_;
 };
-
-/// Restores a killed session: `engine` must be freshly constructed for the
-/// snapshot's program and universe. Restores the snapshot, then replays
-/// the journal records past the snapshot's step counter. Errors (corrupt
-/// snapshot, journal shorter than the snapshot's step counter, invalid
-/// records) leave partial state behind — rebuild the engine before
-/// retrying with different inputs.
-core::Status RestoreFromSnapshotAndJournal(
-    Engine* engine, const std::string& snapshot,
-    const relational::RequestSequence& journal_requests);
 
 }  // namespace dynfo::dyn
 

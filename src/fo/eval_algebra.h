@@ -1,20 +1,21 @@
 /// \file eval_algebra.h
 /// The optimized evaluator: compiles formulas to relational algebra.
 ///
-/// Satisfying sets are computed bottom-up as NamedRelations: atoms scan
-/// stored relations, conjunctions are planned greedily (filters first, then
-/// the cheapest generator — hash joins on shared variables, constant-time
-/// equality extensions, filtered extensions), disjunctions pad-and-union,
-/// quantifiers project (exists) or group-count (forall). Negations become
-/// anti-semi-joins inside conjunctions and complements only as a last
-/// resort.
+/// Satisfying sets are computed bottom-up as NamedRelations by executing an
+/// operator tree (fo/plan.h): atoms scan stored relations (or probe their
+/// persistent indexes), conjunctions run a greedily planned pipeline —
+/// filters first, then the cheapest generator: hash or index joins on
+/// shared variables, constant-time equality extensions, filtered
+/// extensions — disjunctions pad-and-union, quantifiers project (exists)
+/// or group-count (forall). Negations become anti-semi-joins inside
+/// conjunctions and complements only as a last resort.
 ///
-/// By default (EvalOptions::use_compiled_plans) the greedy planning happens
-/// once per formula: Sat compiles the formula to a reusable operator tree
-/// (fo/plan.h), caches it keyed by formula identity, and replays it on every
-/// later call — the hot Apply path does zero per-update planning. With the
-/// gate off, each call re-plans from scratch (the pre-plan-cache behavior,
-/// kept for ablation).
+/// By default (EvalOptions::use_compiled_plans) the planning happens once
+/// per formula: Sat compiles the formula, caches the plan keyed by formula
+/// identity, and replays it on every later call — the hot Apply path does
+/// zero per-update planning. With the gate off, Sat compiles a fresh plan
+/// on every call and caches nothing: the "replan" ablation, which keeps
+/// the executor fixed and charges the planner to every evaluation.
 ///
 /// The evaluator is observationally equivalent to NaiveEvaluator (enforced
 /// by property tests) but asymptotically faster on the paper's update
@@ -106,35 +107,11 @@ class AlgebraEvaluator {
   AtomicEvalStats* live_stats() const { return &stats_; }
 
  private:
-  /// Legacy per-call evaluation (re-plans conjunctions every time); the
-  /// use_compiled_plans=false path, and the recursion entry for all Sat*
-  /// helpers below.
-  NamedRelation SatClassic(const FormulaPtr& formula, const EvalContext& ctx) const;
-
   /// Cache lookup/compile for the compiled path. A cache entry pins the
   /// FormulaPtr (so the pointer key cannot be reused by a new formula) and
   /// remembers the vocabulary it was compiled against; a vocabulary mismatch
   /// recompiles in place.
   PlanPtr PlanFor(const FormulaPtr& formula, const EvalContext& ctx) const;
-
-  NamedRelation SatAtom(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatNumeric(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatAnd(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatOr(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatNot(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatExists(const Formula& formula, const EvalContext& ctx) const;
-  NamedRelation SatForall(const Formula& formula, const EvalContext& ctx) const;
-
-  /// Extends `acc` with unbound variable `var` := value of `term` per row.
-  NamedRelation ExtendByEquality(const NamedRelation& acc, const std::string& var,
-                                 const Term& term, const EvalContext& ctx) const;
-  /// Extends `acc` with `var` ranging over the universe, keeping rows where
-  /// `conjunct` holds (naive per-row evaluation).
-  NamedRelation ExtendByFilter(const NamedRelation& acc, const std::string& var,
-                               const FormulaPtr& conjunct, const EvalContext& ctx) const;
-  /// Keeps rows of `acc` where the fully-bound `conjunct` holds.
-  NamedRelation FilterRows(const NamedRelation& acc, const FormulaPtr& conjunct,
-                           const EvalContext& ctx) const;
 
   struct PlanCacheEntry {
     FormulaPtr formula;  ///< pins the key pointer for the entry's lifetime

@@ -29,9 +29,9 @@ struct EvalOptions {
   /// planner on every evaluation. Observationally equivalent; ablate with
   /// bench_evaluators.
   bool use_compiled_plans = true;
-  /// Let compiled atom joins probe persistent per-column-subset indexes on
-  /// the stored relations (see relational/index.h) instead of rebuilding a
-  /// hash build side per join. Only effective with use_compiled_plans.
+  /// Let plan atom joins probe persistent per-column-subset indexes on the
+  /// stored relations (see relational/index.h) instead of rebuilding a
+  /// hash build side per join.
   bool use_indexes = true;
 
   core::ParallelOptions Policy() const { return {num_threads, parallel_grain}; }

@@ -47,23 +47,6 @@ NamedRelation::NamedRelation(std::vector<std::string> columns)
   }
 }
 
-NamedRelation NamedRelation::FullUniverse(std::vector<std::string> columns, size_t n) {
-  NamedRelation out(std::move(columns));
-  const int k = out.width();
-  Row row(k, 0);
-  while (true) {
-    out.rows_.insert(row);
-    int i = k - 1;
-    while (i >= 0 && row[i] + 1 == n) {
-      row[i] = 0;
-      --i;
-    }
-    if (i < 0) break;
-    ++row[i];
-  }
-  return out;
-}
-
 int NamedRelation::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i] == name) return static_cast<int>(i);
@@ -74,19 +57,6 @@ int NamedRelation::ColumnIndex(const std::string& name) const {
 bool NamedRelation::AddRow(Row row) {
   DYNFO_CHECK(row.size() == columns_.size()) << "row width mismatch";
   return rows_.insert(std::move(row)).second;
-}
-
-NamedRelation NamedRelation::Project(const std::vector<std::string>& keep) const {
-  std::vector<int> positions;
-  positions.reserve(keep.size());
-  for (const std::string& name : keep) {
-    int index = ColumnIndex(name);
-    DYNFO_CHECK(index >= 0) << "projection onto missing column " << name;
-    positions.push_back(index);
-  }
-  NamedRelation out(keep);
-  for (const Row& row : rows_) out.rows_.insert(ProjectRow(row, positions));
-  return out;
 }
 
 NamedRelation NamedRelation::Join(const NamedRelation& other,
@@ -200,22 +170,6 @@ NamedRelation NamedRelation::SemiJoin(const NamedRelation& other, bool anti,
   for (const std::vector<const Row*>& buffer : buffers) {
     for (const Row* row : buffer) out.rows_.insert(*row);
   }
-  return out;
-}
-
-NamedRelation NamedRelation::Union(const NamedRelation& other) const {
-  DYNFO_CHECK(columns_.size() == other.columns_.size())
-      << "union of incompatible schemas";
-  std::vector<int> positions;
-  positions.reserve(columns_.size());
-  for (const std::string& name : columns_) {
-    int index = other.ColumnIndex(name);
-    DYNFO_CHECK(index >= 0) << "union of incompatible schemas: missing " << name;
-    positions.push_back(index);
-  }
-  NamedRelation out(columns_);
-  out.rows_ = rows_;
-  for (const Row& row : other.rows_) out.rows_.insert(ProjectRow(row, positions));
   return out;
 }
 

@@ -53,9 +53,6 @@ class NamedRelation {
   /// No rows over the given columns: "false".
   explicit NamedRelation(std::vector<std::string> columns);
 
-  /// All of {0..n-1}^k over the given columns.
-  static NamedRelation FullUniverse(std::vector<std::string> columns, size_t n);
-
   const std::vector<std::string>& columns() const { return columns_; }
   int width() const { return static_cast<int>(columns_.size()); }
   size_t size() const { return rows_.size(); }
@@ -64,13 +61,9 @@ class NamedRelation {
 
   /// Index of a column, or -1.
   int ColumnIndex(const std::string& name) const;
-  bool HasColumn(const std::string& name) const { return ColumnIndex(name) >= 0; }
 
   /// Adds a row (width must match). Returns true if newly inserted.
   bool AddRow(Row row);
-
-  /// Projection onto `keep` (a subset of columns), deduplicated.
-  NamedRelation Project(const std::vector<std::string>& keep) const;
 
   /// Natural join on the shared columns (cross product when none shared).
   /// The probe side (*this) is partitioned across threads per `parallel`;
@@ -84,9 +77,6 @@ class NamedRelation {
   /// partitioned like Join's.
   NamedRelation SemiJoin(const NamedRelation& other, bool anti,
                          const core::ParallelOptions& parallel = {}) const;
-
-  /// Set union; the two column sets must be equal (order may differ).
-  NamedRelation Union(const NamedRelation& other) const;
 
   /// Rows of the full universe^k not in *this. The n^k grid is partitioned
   /// across threads per `parallel`.

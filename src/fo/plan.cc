@@ -139,8 +139,7 @@ PlanPtr PlanCompiler::CompileNumeric(const Formula& f) const {
   plan->numeric_kind = f.kind();
   plan->left = f.left();
   plan->right = f.right();
-  // Variable-ness is static, so the output schema is too (the legacy
-  // SatNumeric branch taken at runtime is always the same one).
+  // Variable-ness is static, so the output schema is too.
   const bool lv = f.left().is_variable();
   const bool rv = f.right().is_variable();
   if (lv && rv) {
@@ -158,12 +157,11 @@ PlanPtr PlanCompiler::CompileNumeric(const Formula& f) const {
 }
 
 PlanPtr PlanCompiler::CompileAnd(const Formula& f) const {
-  // Replays the legacy greedy planner (eval_algebra.cc, SatAnd) against a
-  // *simulated* accumulator schema. Runtime-size costs become static
-  // heuristics: the operator-class ordering (equality extension < atom join
-  // < filtered extension < full-Sat join) is preserved; among atoms, ones
-  // with more key parts and fewer fresh variables are preferred, standing in
-  // for "smaller build side".
+  // The greedy conjunction planner, run against a *simulated* accumulator
+  // schema. Costs are static heuristics: the operator-class ordering
+  // (equality extension < atom join < filtered extension < full-Sat join)
+  // decides first; among atoms, ones with more key parts and fewer fresh
+  // variables are preferred, standing in for "smaller build side".
   const std::vector<std::string> target_columns = f.FreeVariables();
   std::vector<FormulaPtr> pending = f.children();
   std::vector<std::vector<std::string>> free;

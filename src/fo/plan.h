@@ -1,14 +1,14 @@
 /// \file plan.h
 /// Compile-once query plans for formula evaluation.
 ///
-/// The algebra evaluator's greedy conjunction planner (eval_algebra.cc) makes
-/// the same decisions on every Sat call: which conjuncts act as filters,
-/// which generator binds each variable, which atom positions are pinned by
-/// request parameters. None of those decisions depend on the structure's
-/// *contents* — only on the formula and the vocabulary — so this layer runs
-/// the planner once per formula at program-load time and emits a reusable
-/// operator tree that ExecutePlan() replays against any structure/parameter
-/// binding. The hot Apply path then does zero planning work per update.
+/// The algebra evaluator's greedy conjunction planner decides which
+/// conjuncts act as filters, which generator binds each variable, and which
+/// atom positions are pinned by request parameters. None of those decisions
+/// depend on the structure's *contents* — only on the formula and the
+/// vocabulary — so the planner runs once per formula at program-load time
+/// and emits a reusable operator tree that ExecutePlan() replays against
+/// any structure/parameter binding. The hot Apply path then does zero
+/// planning work per update.
 ///
 /// Plans also record, per relation atom, the exact set of argument positions
 /// whose values are known before the atom is touched (bound variables and
@@ -17,10 +17,11 @@
 /// (relational/index.h), registered once at load time and probed on every
 /// execution, so an atom join costs O(matching rows) instead of O(|R|).
 ///
-/// Both layers are gated by EvalOptions::use_compiled_plans and
-/// EvalOptions::use_indexes; with either off, execution degrades to the
-/// corresponding legacy shape, and in all configurations the result is
-/// observationally identical to NaiveEvaluator (property-tested).
+/// Both layers are gated: EvalOptions::use_compiled_plans off recompiles
+/// the plan on every evaluation (the replan ablation), and
+/// EvalOptions::use_indexes off replaces index probes with per-join hash
+/// builds. In all configurations the result is observationally identical
+/// to NaiveEvaluator (property-tested).
 
 #ifndef DYNFO_FO_PLAN_H_
 #define DYNFO_FO_PLAN_H_
@@ -78,9 +79,8 @@ struct AtomAccess {
   std::vector<int> KeyPositions() const;
 };
 
-/// One step of a compiled conjunction, in execution order. Mirrors the
-/// legacy greedy planner's operator classes (eval_algebra.cc, SatAnd),
-/// plus kUnionExtend, a compiled-only operator with no legacy counterpart.
+/// One step of a compiled conjunction, in execution order: the greedy
+/// planner's operator classes.
 enum class ConjStepKind {
   kFilterRows,    ///< fully-bound conjunct: keep rows where it holds
   kSemiJoin,      ///< fully-bound quantified conjunct: (anti-)semi-join child
@@ -149,8 +149,8 @@ enum class PlanKind {
 };
 
 /// An immutable compiled operator tree. Output schema (`columns`) is fixed at
-/// compile time and matches what the legacy evaluator would produce for the
-/// same formula, column for column.
+/// compile time: the formula's free variables, in the order the operators
+/// bind them.
 class Plan {
  public:
   PlanKind kind = PlanKind::kUnit;
@@ -264,8 +264,7 @@ DeltaProgram CompileDeltaRemovals(const PlanCompiler& compiler,
 bool PlanIsDeltaBounded(const Plan& plan);
 
 /// Executes a compiled plan. Honors ctx.options (thread policy and
-/// use_indexes); counter increments match the legacy evaluator's operator
-/// accounting, plus the index_* counters.
+/// use_indexes) and counts its operators into `stats`.
 NamedRelation ExecutePlan(const Plan& plan, const EvalContext& ctx,
                           AtomicEvalStats* stats);
 

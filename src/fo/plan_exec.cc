@@ -1,8 +1,7 @@
 /// \file plan_exec.cc
-/// Executes compiled plans (fo/plan.h). Operator semantics and counter
-/// accounting mirror the legacy evaluator (eval_algebra.cc) exactly — the
-/// only behavioral additions are persistent-index probes in place of scans
-/// and per-join hash builds, gated by EvalOptions::use_indexes.
+/// Executes compiled plans (fo/plan.h): set-at-a-time operators over
+/// NamedRelations, with persistent-index probes in place of scans and
+/// per-join hash builds when EvalOptions::use_indexes is on.
 
 #include <algorithm>
 #include <bit>
@@ -121,7 +120,7 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
                                const EvalContext& ctx, AtomicEvalStats* stats) {
   Count(stats->joins);
   if (!ctx.options.use_indexes) {
-    // Legacy shape: hash-join against a freshly scanned build side.
+    // Index-less shape: hash-join against a freshly scanned build side.
     return acc.Join(ExecuteScan(step.scan, ctx, stats), ctx.options.Policy());
   }
 
@@ -313,8 +312,8 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
                                  const EvalContext& ctx, AtomicEvalStats* stats) {
   if (!ctx.options.use_indexes) {
     // Without persistent indexes the per-branch probes would degenerate to
-    // per-row relation scans; the legacy extend-and-filter shape is simpler
-    // and identically correct.
+    // per-row relation scans; extend-and-filter is simpler and identically
+    // correct.
     return ExecuteFilterExtend(acc, step, ctx, stats);
   }
   Count(stats->filtered_extensions);

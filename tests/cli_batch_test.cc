@@ -25,9 +25,12 @@ struct RunResult {
 };
 
 /// Writes `script` to a temp file and replays it through the real binary.
+/// The file is named after the running test: ctest runs these tests as
+/// parallel processes, which must not overwrite each other's scripts.
 RunResult RunCli(const std::string& flags, const std::string& script) {
   const std::string script_path =
-      ::testing::TempDir() + "/cli_batch_script.txt";
+      ::testing::TempDir() + "/cli_batch_script_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   {
     std::ofstream out(script_path);
     out << script;
@@ -44,6 +47,7 @@ RunResult RunCli(const std::string& flags, const std::string& script) {
   }
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::remove(script_path.c_str());
   return result;
 }
 

@@ -605,10 +605,9 @@ TEST(AttachDurabilityTest, GuardsRejectMisuse) {
   ASSERT_TRUE(used.Apply(Request::Insert("E", {0, 1})).ok());
   EXPECT_FALSE(used.AttachDurability(dir).ok());
 
-  // The legacy journal and the durable store are mutually exclusive.
+  // A wrapper attaches at most one store.
   GuardedEngine fresh(program, 8, nullptr, nullptr, PlainOptions());
   ASSERT_TRUE(fresh.AttachDurability(dir).ok());
-  EXPECT_FALSE(fresh.AttachJournal(TempDirFor("attach_guard_journal")).ok());
   EXPECT_FALSE(fresh.AttachDurability(dir).ok());  // double attach
 
   // A store created by one program cannot revive another.

@@ -12,6 +12,7 @@
 #include "core/rng.h"
 #include "dynfo/engine.h"
 #include "dynfo/workload.h"
+#include "programs/reach_semidynamic.h"
 #include "programs/reach_u.h"
 #include "programs/registry.h"
 
@@ -46,7 +47,7 @@ TEST(GovernanceTest, GenerousGovernanceMatchesUngovernedRun) {
   governance.limits.max_tuples = 1u << 30;
   Engine governed(programs::MakeReachUProgram(), n);
   Engine legacy(programs::MakeReachUProgram(), n);
-  ApplyReport report;
+  BatchReport report;
   for (const relational::Request& request : ReachWorkload(n, 4)) {
     core::Status status = governed.TryApply(request, governance,
                                             /*tier=*/std::nullopt, &report);
@@ -107,7 +108,7 @@ TEST(GovernanceTest, BudgetBreachReturnsResourceExhausted) {
 
   ApplyGovernance governance;
   governance.limits.max_tuples = 1;  // any real evaluation materializes more
-  ApplyReport report;
+  BatchReport report;
   core::Status status = engine.TryApply(relational::Request::Insert("E", {0, 6}),
                                         governance, std::nullopt, &report);
   EXPECT_EQ(status.code(), core::StatusCode::kResourceExhausted)
@@ -143,6 +144,33 @@ TEST(GovernanceTest, MalformedRequestsBecomeTypedErrorsWhenGoverned) {
                 .code(),
             core::StatusCode::kError);
   EXPECT_EQ(engine.stats().requests, 0u);
+}
+
+/// A semi-dynamic program refuses deletes: governed, that is a typed error
+/// with the engine bit-identical, alone or anywhere in a batch — never the
+/// trusted-caller CHECK failure.
+TEST(GovernanceTest, SemiDynamicDeleteIsATypedErrorWhenGoverned) {
+  using relational::Request;
+  Engine engine(programs::MakeReachSemiDynamicProgram(), 6);
+  engine.Apply(Request::Insert("E", {0, 1}));
+  engine.Apply(Request::Insert("E", {1, 2}));
+  const std::string before = engine.Snapshot();
+
+  ApplyGovernance governance;
+  governance.deadline_ms = 60 * 1000;
+  BatchReport report;
+  core::Status status = engine.TryApply(Request::Delete("E", {0, 1}), governance,
+                                        std::nullopt, &report);
+  EXPECT_EQ(status.code(), core::StatusCode::kError) << status.ToString();
+  EXPECT_NE(status.message().find("semi-dynamic"), std::string::npos);
+  EXPECT_EQ(report.applied, 0u);
+  EXPECT_EQ(engine.Snapshot(), before);
+
+  const Request batch[] = {Request::Insert("E", {2, 3}), Request::Delete("E", {0, 1})};
+  status = engine.TryApplyBatch(batch, governance, &report);
+  EXPECT_EQ(status.code(), core::StatusCode::kError) << status.ToString();
+  EXPECT_EQ(report.applied, 0u);
+  EXPECT_EQ(engine.Snapshot(), before);
 }
 
 TEST(GovernanceTest, TierOverridesProduceIdenticalStates) {

@@ -1,14 +1,12 @@
-/// Crash-consistency contract of the request journal: clean round trips,
-/// torn-tail tolerance, and hard errors for interior damage (dropped,
-/// duplicated, or bit-rotted records).
+/// Record-level crash-consistency contract of the segment journal
+/// (ParseSegment): clean round trips of plain and group-commit records,
+/// torn-tail tolerance (a torn batch drops the whole batch), and hard
+/// errors for interior damage (dropped, duplicated, bit-rotted, malformed,
+/// or invalid records). Store-level behavior lives in durability_test.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 
 #include "core/fault.h"
@@ -23,21 +21,9 @@ namespace {
 using relational::Request;
 using relational::RequestSequence;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "dynfo_journal_test_" + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-}
+/// Segments in these tests start past zero, so every record's absolute
+/// sequence number is exercised, not just its offset.
+constexpr uint64_t kFirst = 40;
 
 RequestSequence SampleRequests() {
   return {Request::SetConstant("s", 0), Request::Insert("E", {0, 1}),
@@ -45,21 +31,24 @@ RequestSequence SampleRequests() {
           Request::SetConstant("t", 2)};
 }
 
-std::string SampleJournalText() {
-  std::string text = JournalHeader();
-  uint64_t seq = 0;
+std::string SampleSegmentText() {
+  std::string text = SegmentHeader(kFirst);
+  uint64_t seq = kFirst;
   for (const Request& request : SampleRequests()) {
     text += FormatJournalRecord(seq++, request);
   }
   return text;
 }
 
+core::Result<SegmentParse> Parse(const std::string& text) {
+  return ParseSegment(text, *programs::ReachUInputVocabulary(), 8, kFirst);
+}
+
 TEST(JournalTest, FormatParseRoundTrip) {
-  auto vocab = programs::ReachUInputVocabulary();
-  core::Result<JournalParse> parsed = ParseJournal(SampleJournalText(), *vocab, 8);
+  core::Result<SegmentParse> parsed = Parse(SampleSegmentText());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_FALSE(parsed.value().torn_tail);
-  EXPECT_EQ(parsed.value().valid_bytes, SampleJournalText().size());
+  EXPECT_EQ(parsed.value().valid_bytes, SampleSegmentText().size());
   const RequestSequence expected = SampleRequests();
   ASSERT_EQ(parsed.value().requests.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -68,24 +57,25 @@ TEST(JournalTest, FormatParseRoundTrip) {
 }
 
 TEST(JournalTest, EmptyAndHeaderOnlyJournalsParse) {
-  auto vocab = programs::ReachUInputVocabulary();
-  core::Result<JournalParse> empty = ParseJournal("", *vocab, 8);
+  core::Result<SegmentParse> empty = Parse("");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value().requests.empty());
+  EXPECT_FALSE(empty.value().torn_tail);
 
-  core::Result<JournalParse> header_only = ParseJournal(JournalHeader(), *vocab, 8);
+  core::Result<SegmentParse> header_only = Parse(SegmentHeader(kFirst));
   ASSERT_TRUE(header_only.ok());
   EXPECT_TRUE(header_only.value().requests.empty());
   EXPECT_FALSE(header_only.value().torn_tail);
+
+  // A header naming another first sequence is not this segment.
+  EXPECT_FALSE(Parse(SegmentHeader(kFirst + 1)).ok());
 }
 
 TEST(JournalTest, TornFinalRecordIsDroppedNotFatal) {
-  auto vocab = programs::ReachUInputVocabulary();
-  const std::string full = SampleJournalText();
+  const std::string full = SampleSegmentText();
   // Cut anywhere inside the final record: parse succeeds minus that record.
   for (size_t cut = full.size() - 1; full[cut - 1] != '\n'; --cut) {
-    core::Result<JournalParse> parsed =
-        ParseJournal(full.substr(0, cut), *vocab, 8);
+    core::Result<SegmentParse> parsed = Parse(full.substr(0, cut));
     ASSERT_TRUE(parsed.ok()) << "cut at " << cut << ": "
                              << parsed.status().message();
     EXPECT_TRUE(parsed.value().torn_tail);
@@ -97,15 +87,14 @@ TEST(JournalTest, TornFinalRecordIsDroppedNotFatal) {
 // Batch (group-commit) records: one line holding many requests.
 
 TEST(JournalTest, BatchRecordRoundTrips) {
-  auto vocab = programs::ReachUInputVocabulary();
   const RequestSequence requests = SampleRequests();
-  std::string text = JournalHeader();
-  text += FormatJournalRecord(0, requests[0]);
+  std::string text = SegmentHeader(kFirst);
+  text += FormatJournalRecord(kFirst, requests[0]);
   text += FormatBatchRecord(
-      1, std::span<const Request>(requests.data() + 1, requests.size() - 2));
-  text += FormatJournalRecord(requests.size() - 1, requests.back());
+      kFirst + 1, std::span<const Request>(requests.data() + 1, requests.size() - 2));
+  text += FormatJournalRecord(kFirst + requests.size() - 1, requests.back());
 
-  core::Result<JournalParse> parsed = ParseJournal(text, *vocab, 8);
+  core::Result<SegmentParse> parsed = Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_FALSE(parsed.value().torn_tail);
   ASSERT_EQ(parsed.value().requests.size(), requests.size());
@@ -115,19 +104,17 @@ TEST(JournalTest, BatchRecordRoundTrips) {
 }
 
 TEST(JournalTest, TornBatchRecordDropsWholeBatchNotAPrefix) {
-  auto vocab = programs::ReachUInputVocabulary();
   const RequestSequence requests = SampleRequests();
-  std::string text = JournalHeader();
-  text += FormatJournalRecord(0, requests[0]);
+  std::string text = SegmentHeader(kFirst);
+  text += FormatJournalRecord(kFirst, requests[0]);
   const size_t intact = text.size();
   text += FormatBatchRecord(
-      1, std::span<const Request>(requests.data() + 1, requests.size() - 1));
+      kFirst + 1, std::span<const Request>(requests.data() + 1, requests.size() - 1));
 
   // Cut anywhere inside the batch line: the WHOLE batch vanishes — replay
   // must never surface a prefix of a group commit.
   for (size_t cut = text.size() - 1; cut > intact; --cut) {
-    core::Result<JournalParse> parsed =
-        ParseJournal(text.substr(0, cut), *vocab, 8);
+    core::Result<SegmentParse> parsed = Parse(text.substr(0, cut));
     ASSERT_TRUE(parsed.ok()) << "cut at " << cut << ": "
                              << parsed.status().message();
     EXPECT_TRUE(parsed.value().torn_tail) << "cut at " << cut;
@@ -138,63 +125,31 @@ TEST(JournalTest, TornBatchRecordDropsWholeBatchNotAPrefix) {
 }
 
 TEST(JournalTest, MalformedBatchRecordsAreRejected) {
-  auto vocab = programs::ReachUInputVocabulary();
   auto reject = [&](const std::string& body, const std::string& why) {
     // Recompute the real checksum so the failure exercises batch parsing,
     // not checksum verification. FormatBatchRecord is unusable here (it
     // CHECKs on well-formed input), so build the line by hand.
     const std::string line = body + " c=" + core::HexU64(core::Fnv1a64(body)) + "\n";
-    std::string text = JournalHeader() + line;
+    std::string text = SegmentHeader(kFirst) + line;
     // A trailing clean record makes the damage interior (hard error), not a
     // droppable tail.
-    text += FormatJournalRecord(9, Request::Insert("E", {4, 5}));
-    core::Result<JournalParse> parsed = ParseJournal(text, *vocab, 8);
-    EXPECT_FALSE(parsed.ok()) << why << " was accepted";
+    text += FormatJournalRecord(kFirst + 9, Request::Insert("E", {4, 5}));
+    EXPECT_FALSE(Parse(text).ok()) << why << " was accepted";
   };
-  reject("0 batch 2 | ins E 0 1", "count larger than contents");
-  reject("0 batch 1 | ins E 0 1 | ins E 1 2", "count smaller than contents");
-  reject("0 batch 1 | ins E 0", "arity-short sub-record");
-  reject("0 batch 1 | ins E 0 1 2", "arity-long sub-record");
-  reject("0 batch 1 | ins Q 0 1", "unknown relation in sub-record");
-  reject("0 batch 1 | ins E 0 99", "out-of-universe element in sub-record");
-  reject("0 batch 0", "empty batch");
-  reject("0 batch x | ins E 0 1", "non-numeric count");
-}
-
-TEST(JournalTest, WriterAppendBatchGroupCommits) {
-  const std::string path = TempPath("batch_writer");
-  std::remove(path.c_str());
-  auto vocab = programs::ReachUInputVocabulary();
-  const RequestSequence requests = SampleRequests();
-  {
-    core::Result<JournalWriter> writer = JournalWriter::Open(path, *vocab, 8);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.value().Append(requests[0]).ok());
-    ASSERT_TRUE(writer.value()
-                    .AppendBatch(std::span<const Request>(requests.data() + 1,
-                                                          requests.size() - 1))
-                    .ok());
-    EXPECT_EQ(writer.value().next_seq(), requests.size());
-  }
-  core::Result<JournalParse> parsed = ParseJournal(ReadFile(path), *vocab, 8);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  ASSERT_EQ(parsed.value().requests.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(parsed.value().requests[i].ToString(), requests[i].ToString());
-  }
-
-  // Reopen resumes the sequence counter past the batch.
-  core::Result<JournalWriter> reopened = JournalWriter::Open(path, *vocab, 8);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().next_seq(), requests.size());
-  std::remove(path.c_str());
+  reject("40 batch 2 | ins E 0 1", "count larger than contents");
+  reject("40 batch 1 | ins E 0 1 | ins E 1 2", "count smaller than contents");
+  reject("40 batch 1 | ins E 0", "arity-short sub-record");
+  reject("40 batch 1 | ins E 0 1 2", "arity-long sub-record");
+  reject("40 batch 1 | ins Q 0 1", "unknown relation in sub-record");
+  reject("40 batch 1 | ins E 0 99", "out-of-universe element in sub-record");
+  reject("40 batch 0", "empty batch");
+  reject("40 batch x | ins E 0 1", "non-numeric count");
 }
 
 TEST(JournalTest, InteriorDamageIsAHardError) {
-  auto vocab = programs::ReachUInputVocabulary();
   core::FaultInjector faults(11);
   for (int trial = 0; trial < 50; ++trial) {
-    std::string text = SampleJournalText();
+    std::string text = SampleSegmentText();
     // Drop or duplicate a random record; pad the tail with two more clean
     // records so the damage is interior even when the fault hits the last
     // original record (a damaged FINAL record is indistinguishable from a
@@ -204,32 +159,28 @@ TEST(JournalTest, InteriorDamageIsAHardError) {
     } else {
       faults.DuplicateLine(&text);
     }
-    const uint64_t n = SampleRequests().size();
-    text += FormatJournalRecord(n, Request::Insert("E", {3, 4}));
-    text += FormatJournalRecord(n + 1, Request::Insert("E", {4, 5}));
-    core::Result<JournalParse> parsed = ParseJournal(text, *vocab, 8);
-    EXPECT_FALSE(parsed.ok()) << "trial " << trial << " accepted damaged journal";
+    const uint64_t next = kFirst + SampleRequests().size();
+    text += FormatJournalRecord(next, Request::Insert("E", {3, 4}));
+    text += FormatJournalRecord(next + 1, Request::Insert("E", {4, 5}));
+    EXPECT_FALSE(Parse(text).ok()) << "trial " << trial << " accepted damaged segment";
   }
 }
 
 TEST(JournalTest, BitRotBeforeFinalRecordIsAHardError) {
-  auto vocab = programs::ReachUInputVocabulary();
-  const std::string clean = SampleJournalText();
+  const std::string clean = SampleSegmentText();
   // Flip each byte of the first record; every flip must be rejected (the
   // record's checksum covers seq, kind, target, and elements).
-  const size_t first_record_begin = JournalHeader().size();
+  const size_t first_record_begin = SegmentHeader(kFirst).size();
   const size_t first_record_end = clean.find('\n', first_record_begin);
   for (size_t i = first_record_begin; i < first_record_end; ++i) {
     std::string text = clean;
     text[i] ^= 0x20;
     if (text[i] == clean[i]) continue;
-    core::Result<JournalParse> parsed = ParseJournal(text, *vocab, 8);
-    EXPECT_FALSE(parsed.ok()) << "byte " << i << " flip accepted";
+    EXPECT_FALSE(Parse(text).ok()) << "byte " << i << " flip accepted";
   }
 }
 
 TEST(JournalTest, RejectsRecordsFailingValidation) {
-  auto vocab = programs::ReachUInputVocabulary();
   // Unknown relation, bad arity, out-of-universe element: all hard errors
   // even with correct checksums.
   // The bad record is followed by a clean one so the damage is interior (a
@@ -237,78 +188,10 @@ TEST(JournalTest, RejectsRecordsFailingValidation) {
   for (const Request& bad :
        {Request::Insert("Q", {0, 1}), Request::Insert("E", {0, 1, 2}),
         Request::Insert("E", {0, 9}), Request::SetConstant("s", 9)}) {
-    std::string text = JournalHeader() + FormatJournalRecord(0, bad) +
-                       FormatJournalRecord(1, Request::Insert("E", {0, 1}));
-    core::Result<JournalParse> parsed = ParseJournal(text, *vocab, 8);
-    EXPECT_FALSE(parsed.ok()) << bad.ToString() << " accepted";
+    std::string text = SegmentHeader(kFirst) + FormatJournalRecord(kFirst, bad) +
+                       FormatJournalRecord(kFirst + 1, Request::Insert("E", {0, 1}));
+    EXPECT_FALSE(Parse(text).ok()) << bad.ToString() << " accepted";
   }
-}
-
-TEST(JournalTest, WriterAppendsAndReopensWithResumedSequence) {
-  const std::string path = TempPath("writer");
-  std::remove(path.c_str());
-  auto vocab = programs::ReachUInputVocabulary();
-  const RequestSequence requests = SampleRequests();
-
-  {
-    core::Result<JournalWriter> writer = JournalWriter::Open(path, *vocab, 8);
-    ASSERT_TRUE(writer.ok()) << writer.status().message();
-    EXPECT_EQ(writer.value().next_seq(), 0u);
-    for (size_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE(writer.value().Append(requests[i]).ok());
-    }
-    EXPECT_EQ(writer.value().next_seq(), 3u);
-  }
-
-  core::Result<JournalWriter> reopened = JournalWriter::Open(path, *vocab, 8);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_EQ(reopened.value().next_seq(), 3u);
-  EXPECT_FALSE(reopened.value().truncated_torn_tail());
-  ASSERT_EQ(reopened.value().recovered().size(), 3u);
-  for (size_t i = 3; i < requests.size(); ++i) {
-    ASSERT_TRUE(reopened.value().Append(requests[i]).ok());
-  }
-
-  core::Result<JournalParse> parsed = ParseJournal(ReadFile(path), *vocab, 8);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().requests.size(), requests.size());
-  std::remove(path.c_str());
-}
-
-TEST(JournalTest, OpenTruncatesTornTailAndResumes) {
-  const std::string path = TempPath("torn");
-  auto vocab = programs::ReachUInputVocabulary();
-  std::string text = SampleJournalText();
-  text.resize(text.size() - 3);  // kill mid-final-record
-  WriteFile(path, text);
-
-  core::Result<JournalWriter> writer = JournalWriter::Open(path, *vocab, 8);
-  ASSERT_TRUE(writer.ok()) << writer.status().message();
-  EXPECT_TRUE(writer.value().truncated_torn_tail());
-  EXPECT_EQ(writer.value().next_seq(), SampleRequests().size() - 1);
-  ASSERT_TRUE(writer.value().Append(Request::Insert("E", {5, 6})).ok());
-
-  core::Result<JournalParse> parsed = ParseJournal(ReadFile(path), *vocab, 8);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_FALSE(parsed.value().torn_tail);
-  EXPECT_EQ(parsed.value().requests.size(), SampleRequests().size());
-  std::remove(path.c_str());
-}
-
-TEST(JournalTest, OpenRefusesInteriorCorruption) {
-  const std::string path = TempPath("corrupt");
-  auto vocab = programs::ReachUInputVocabulary();
-  // Journal with record seq 1 missing: an interior drop, unrecoverable.
-  std::string text = JournalHeader();
-  uint64_t seq = 0;
-  for (const Request& request : SampleRequests()) {
-    if (seq != 1) text += FormatJournalRecord(seq, request);
-    ++seq;
-  }
-  WriteFile(path, text);
-  core::Result<JournalWriter> writer = JournalWriter::Open(path, *vocab, 8);
-  EXPECT_FALSE(writer.ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

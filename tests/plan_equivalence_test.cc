@@ -1,11 +1,13 @@
 /// Property tests for the compile-once plan layer (fo/plan.h): under every
 /// gate combination — compiled plans with and without persistent indexes,
-/// and the legacy re-planning path — the algebra evaluator must be
-/// observationally identical to the naive reference, on random formulas and
-/// on full engine request sequences. Also pins the compile-once contract
-/// itself: after warmup the plan cache serves every call (hit rate ~1.0) and
-/// the hot Apply path runs zero planner invocations, and plans/indexes stay
-/// consistent across Snapshot/Restore and ReloadProgram.
+/// and the replan ablation that compiles a fresh plan on every call — the
+/// algebra evaluator must be observationally identical to the naive
+/// reference, on random formulas and on full engine request sequences. Also
+/// pins both planning contracts: compile-once (after warmup the plan cache
+/// serves every call, hit rate ~1.0, and the hot Apply path runs zero
+/// planner invocations; plans/indexes stay consistent across
+/// Snapshot/Restore and ReloadProgram) and compile-per-call (one planner
+/// run per evaluation, nothing cached).
 
 #include <gtest/gtest.h>
 
@@ -37,8 +39,9 @@ struct GateCombo {
 constexpr GateCombo kGateCombos[] = {
     {"compiled+indexed", true, true},
     {"compiled", true, false},
-    {"legacy", false, false},
+    {"replan", false, false},
 };
+constexpr const GateCombo& kReplan = kGateCombos[2];
 
 fo::EvalOptions GatedOptions(const GateCombo& combo) {
   fo::EvalOptions options;
@@ -74,6 +77,35 @@ TEST(PlanEquivalence, RandomFormulasMatchNaiveUnderAllGateCombos) {
           << combo.name << " trial " << trial << " formula " << formula->ToString();
     }
   }
+}
+
+TEST(PlanEquivalence, ReplanCompilesOnEveryCall) {
+  auto vocab = std::make_shared<relational::Vocabulary>();
+  vocab->AddRelation("E", 2);
+  vocab->AddRelation("U", 1);
+  relational::Structure structure(vocab, 6);
+  core::Rng rng(515);
+  const std::vector<std::string> variables = {"x", "y"};
+  fo::AlgebraEvaluator evaluator;
+
+  constexpr uint64_t kCalls = 40;
+  for (uint64_t call = 0; call < kCalls; ++call) {
+    testing::RandomizeStructure(&structure, &rng, 0.3);
+    int fresh = 0;
+    fo::FormulaPtr formula =
+        testing::RandomFormula(&rng, *vocab, variables, structure.universe_size(),
+                               /*depth=*/3, &fresh);
+    const uint64_t runs_before = evaluator.stats().planner_runs;
+    fo::EvalContext ctx(structure, {}, GatedOptions(kReplan));
+    relational::Relation result = evaluator.EvaluateAsRelation(formula, variables, ctx);
+    EXPECT_EQ(evaluator.stats().planner_runs, runs_before + 1) << "call " << call;
+    EXPECT_EQ(evaluator.plan_cache_size(), 0u) << "call " << call;
+    ASSERT_EQ(result, fo::NaiveEvaluator::EvaluateAsRelation(
+                          formula, variables, fo::EvalContext(structure)))
+        << "call " << call << " formula " << formula->ToString();
+  }
+  EXPECT_EQ(evaluator.stats().planner_runs, kCalls);
+  EXPECT_EQ(evaluator.stats().plan_cache_hits, 0u);
 }
 
 TEST(PlanEquivalence, CachedPlanSurvivesStructureChurn) {
@@ -253,8 +285,10 @@ TEST(PlanEquivalence, EngineSequencesIdenticalUnderAllGateCombos) {
       }
       ++step;
     }
-    // Persistent indexes stayed consistent through the whole churn.
+    // Persistent indexes stayed consistent through the whole churn, and the
+    // replan engine (the last combo) never cached a plan.
     ExpectIndexesConsistent(engines[0]->data(), test_case.name);
+    EXPECT_EQ(engines.back()->plan_cache_size(), 0u) << test_case.name;
   }
 }
 

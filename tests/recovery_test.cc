@@ -1,7 +1,10 @@
 /// The fault-tolerance pipeline end to end:
-///   * kill-and-recover: snapshot + journal suffix rebuilds bit-identical
-///     state after a simulated kill, over many seeded trials and three
-///     structurally different programs (REACH_u, matching, multiplication);
+///   * kill-and-recover: a GuardedEngine with a durable store revives
+///     bit-identical state (engine snapshot and shadowed input) after a
+///     simulated kill — full snapshot + delta checkpoint + a partial
+///     segment, with a torn segment tail on half the trials — over many
+///     seeded trials of three structurally different programs (REACH_u,
+///     matching, multiplication) and over every registry program;
 ///   * fault injection: every corrupting flip of a load-bearing auxiliary
 ///     relation is detected by the GuardedEngine's checks and repaired by
 ///     start-over recovery;
@@ -9,6 +12,8 @@
 ///     state, lost journal records are reported, recovery statistics add up.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -18,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/durable_io.h"
 #include "core/fault.h"
 #include "core/rng.h"
 #include "dynfo/journal.h"
@@ -84,8 +90,19 @@ std::vector<RecoveryScenario> Scenarios() {
   return out;
 }
 
-std::string TempPath(const std::string& name) {
+std::string TempDirFor(const std::string& name) {
   return ::testing::TempDir() + "dynfo_recovery_test_" + name;
+}
+
+/// Removes `dir` and the files directly inside it (the store is flat).
+void RemoveTree(const std::string& dir) {
+  core::Result<std::vector<std::string>> names = core::ListDir(dir);
+  if (names.ok()) {
+    for (const std::string& name : names.value()) {
+      std::remove((dir + "/" + name).c_str());
+    }
+  }
+  ::rmdir(dir.c_str());
 }
 
 std::string ReadFile(const std::string& path) {
@@ -93,6 +110,48 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The active segment of `guarded`'s attached store.
+std::string ActiveSegmentPath(const GuardedEngine& guarded) {
+  const DurableStore* store = guarded.durable_store();
+  return store->dir() + "/" + store->manifest().segments.back().file;
+}
+
+/// A wrapper without detection hooks: these sessions exist to be killed
+/// and revived, not checked.
+GuardedEngineOptions UncheckedOptions(EnginePostInit post_init) {
+  GuardedEngineOptions options;
+  options.check_every = 0;
+  options.post_init = std::move(post_init);
+  return options;
+}
+
+/// Kills `doomed` (mid-append when `torn`: a record the kill cut short is
+/// left at the end of its active segment), revives a fresh wrapper from the
+/// same directory, and checks the revival contract: the engine snapshot
+/// (step counter included) and the shadowed input are bit-identical, and
+/// replay stayed within one segment.
+void ExpectRevivesIdentically(const GuardedEngine& doomed, bool torn,
+                              const std::string& dir,
+                              const DurabilityOptions& durability,
+                              GuardedEngine* revived, const std::string& label) {
+  if (torn) {
+    std::ofstream tail(ActiveSegmentPath(doomed), std::ios::binary | std::ios::app);
+    tail << "99 ins E 0";  // no newline: the append never completed
+  }
+  core::Status status = revived->AttachDurability(dir, durability);
+  ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
+  EXPECT_EQ(revived->durable_store()->recovered().torn_tail, torn) << label;
+  EXPECT_LE(revived->recovery_stats().replayed_on_recovery,
+            durability.store.records_per_segment)
+      << label;
+  EXPECT_EQ(revived->engine().Snapshot(), doomed.engine().Snapshot()) << label;
+  EXPECT_EQ(relational::WriteStructure(revived->input()),
+            relational::WriteStructure(doomed.input()))
+      << label;
+  EXPECT_EQ(revived->recovery_stats().requests, doomed.recovery_stats().requests)
+      << label;
 }
 
 /// Everything in the data vocabulary except `target`, so FlipTuple can only
@@ -108,61 +167,37 @@ std::vector<std::string> ProtectAllBut(const relational::Vocabulary& vocab,
 
 class RecoveryPrograms : public ::testing::TestWithParam<size_t> {};
 
-/// ISSUE acceptance: kill-and-recover over >= 50 seeded trials across the
-/// three programs (17 x 3 = 51), each recovering BIT-IDENTICAL state from
-/// a snapshot plus the journal suffix, with a torn journal tail thrown in.
+/// Kill-and-recover over 51 seeded trials across the three programs
+/// (17 x 3), each reviving BIT-IDENTICAL state from the durable store, with
+/// a torn segment tail on every other seed. Small segments put the kill
+/// point anywhere relative to checkpoints and consolidations.
 TEST_P(RecoveryPrograms, KillAndRecoverIsBitIdentical) {
   const RecoveryScenario scenario = Scenarios()[GetParam()];
   auto program = scenario.program();
+  DurabilityOptions durability;
+  durability.store.records_per_segment = 4;
+  durability.store.full_snapshot_every = 3;
   for (uint64_t seed = 1; seed <= 17; ++seed) {
     const RequestSequence requests = scenario.workload(seed);
     core::Rng rng(seed * 1000 + GetParam());
     const size_t kill = rng.Range(5, requests.size());
-    const size_t snap = rng.Range(0, kill);
-    const std::string path =
-        TempPath(scenario.name + "_seed" + std::to_string(seed));
-    std::remove(path.c_str());
+    const std::string dir = TempDirFor(scenario.name + "_seed" + std::to_string(seed));
+    RemoveTree(dir);
 
-    // The doomed session: journal every request, snapshot at `snap`, die
-    // after `kill` requests — mid-append half the time.
-    Engine session(program, scenario.universe);
-    if (scenario.post_init) scenario.post_init(&session);
-    std::string snapshot;
-    {
-      core::Result<JournalWriter> writer =
-          JournalWriter::Open(path, *program->input_vocabulary(), scenario.universe);
-      ASSERT_TRUE(writer.ok()) << writer.status().message();
-      for (size_t i = 0; i < kill; ++i) {
-        if (i == snap) snapshot = session.Snapshot();
-        ASSERT_TRUE(writer.value().Append(requests[i]).ok());
-        session.Apply(requests[i]);
-      }
-      if (snap == kill) snapshot = session.Snapshot();
+    GuardedEngine doomed(program, scenario.universe, nullptr, nullptr,
+                         UncheckedOptions(scenario.post_init));
+    ASSERT_TRUE(doomed.AttachDurability(dir, durability).ok());
+    for (size_t i = 0; i < kill; ++i) {
+      ASSERT_TRUE(doomed.Apply(requests[i]).ok());
     }
-    if (seed % 2 == 0) {
-      std::ofstream torn(path, std::ios::binary | std::ios::app);
-      torn << "99 ins E 0";  // a record the kill cut short (no newline)
-    }
-
-    // The next process: parse the journal, restore, replay the suffix.
-    core::Result<JournalParse> parsed = ParseJournal(
-        ReadFile(path), *program->input_vocabulary(), scenario.universe);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-    EXPECT_EQ(parsed.value().torn_tail, seed % 2 == 0);
-    ASSERT_EQ(parsed.value().requests.size(), kill);
-
-    Engine revived(program, scenario.universe);
-    core::Status status =
-        RestoreFromSnapshotAndJournal(&revived, snapshot, parsed.value().requests);
-    ASSERT_TRUE(status.ok()) << scenario.name << " seed " << seed << ": "
-                             << status.message();
-    ASSERT_EQ(revived.data(), session.data())
-        << scenario.name << " seed " << seed << " (snap " << snap << ", kill "
-        << kill << ")";
-    EXPECT_EQ(relational::WriteStructure(revived.data()),
-              relational::WriteStructure(session.data()));
-    EXPECT_EQ(revived.stats().requests, kill);
-    std::remove(path.c_str());
+    GuardedEngine revived(program, scenario.universe, nullptr, nullptr,
+                          UncheckedOptions(scenario.post_init));
+    ExpectRevivesIdentically(doomed, /*torn=*/seed % 2 == 0, dir, durability,
+                             &revived,
+                             scenario.name + " seed " + std::to_string(seed) +
+                                 " (kill " + std::to_string(kill) + ")");
+    EXPECT_EQ(revived.engine().stats().requests, kill);
+    RemoveTree(dir);
   }
 }
 
@@ -260,37 +295,11 @@ TEST(RecoveryTest, InvalidRequestsAreRejectedWithoutSideEffects) {
   EXPECT_EQ(guarded.recovery_stats().requests, 1u);
 }
 
-TEST(RecoveryTest, JournalAttachRecoversAKilledGuardedSession) {
-  const std::string path = TempPath("guarded_journal");
-  std::remove(path.c_str());
-  auto program = programs::MakeReachUProgram();
-  const RequestSequence requests =
-      GraphChurn(programs::ReachUInputVocabulary(), 8, 13);
-
-  GuardedEngine first(program, 8, programs::ReachUOracle,
-                      programs::ReachUInvariant, {});
-  ASSERT_TRUE(first.AttachJournal(path).ok());
-  for (const Request& request : requests) {
-    ASSERT_TRUE(first.Apply(request).ok());
-  }
-
-  // "Kill": drop `first`, start a new wrapper on the same journal. It must
-  // catch up to the identical state (same program, same request history).
-  GuardedEngine second(program, 8, programs::ReachUOracle,
-                       programs::ReachUInvariant, {});
-  ASSERT_TRUE(second.AttachJournal(path).ok());
-  EXPECT_EQ(second.engine().data(), first.engine().data());
-  EXPECT_EQ(second.input(), first.input());
-  EXPECT_EQ(second.recovery_stats().requests, first.recovery_stats().requests);
-  EXPECT_TRUE(second.CheckNow().ok());
-  std::remove(path.c_str());
-}
-
-/// Snapshot-plus-journal revival on DELTA-enabled engines (the production
-/// configuration: in-place diffs over CoW relations), across every program
-/// in the registry: the replayed Applies land on incrementally maintained
-/// state and must still converge bit-identically with an engine that never
-/// died.
+/// Durable revival on DELTA-enabled engines (the production configuration:
+/// in-place diffs over CoW relations), across every program in the
+/// registry: the replayed Applies land on incrementally maintained state
+/// restored from a full snapshot plus a delta checkpoint, and must still
+/// converge bit-identically with the session that died.
 class SnapshotJournalAllPrograms : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SnapshotJournalAllPrograms, DeltaEngineReplayIsBitIdentical) {
@@ -298,31 +307,39 @@ TEST_P(SnapshotJournalAllPrograms, DeltaEngineReplayIsBitIdentical) {
       programs::AllScenarios()[GetParam()];
   auto program = scenario.make_program();
   const size_t n = scenario.default_universe;
-  const RequestSequence requests = scenario.make_workload(n, /*seed=*/31);
-  const size_t snap = requests.size() / 3;
+  // Checkpoint k lands after 4k requests and is a full consolidation when
+  // k % 3 == 0. The history is cut to end on a delta checkpoint plus a
+  // partial segment, so revival needs all three layers.
+  DurabilityOptions durability;
+  durability.store.records_per_segment = 4;
+  durability.store.full_snapshot_every = 3;
+  GuardedEngineOptions options = UncheckedOptions(scenario.post_init);
+  options.engine_options.use_delta = true;  // the configuration under test, explicit
 
-  EngineOptions delta_options;
-  delta_options.use_delta = true;  // the configuration under test, explicit
+  for (const uint64_t seed : {31, 32}) {
+    RequestSequence requests = scenario.make_workload(n, seed);
+    size_t length = requests.size();
+    while (length > 0 && (length % 4 == 0 || (length / 4) % 3 == 0)) --length;
+    ASSERT_GT(length, 4u) << scenario.name << ": workload too short";
+    requests.resize(length);
+    const std::string dir =
+        TempDirFor("all_" + scenario.name + "_seed" + std::to_string(seed));
+    RemoveTree(dir);
 
-  Engine always_up(program, n, delta_options);
-  if (scenario.post_init) scenario.post_init(&always_up);
-  std::string snapshot;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (i == snap) snapshot = always_up.Snapshot();
-    always_up.Apply(requests[i]);
+    GuardedEngine doomed(program, n, nullptr, nullptr, options);
+    ASSERT_TRUE(doomed.AttachDurability(dir, durability).ok());
+    for (const Request& request : requests) {
+      ASSERT_TRUE(doomed.Apply(request).ok()) << scenario.name;
+    }
+    GuardedEngine revived(program, n, nullptr, nullptr, options);
+    ExpectRevivesIdentically(doomed, /*torn=*/seed % 2 == 0, dir, durability,
+                             &revived,
+                             scenario.name + " seed " + std::to_string(seed));
+    EXPECT_FALSE(revived.durable_store()->manifest().delta_file.empty())
+        << scenario.name;
+    EXPECT_GT(revived.recovery_stats().replayed_on_recovery, 0u) << scenario.name;
+    RemoveTree(dir);
   }
-  if (requests.empty()) snapshot = always_up.Snapshot();
-
-  Engine revived(program, n, delta_options);
-  if (scenario.post_init) scenario.post_init(&revived);
-  core::Status status =
-      RestoreFromSnapshotAndJournal(&revived, snapshot, requests);
-  ASSERT_TRUE(status.ok()) << scenario.name << ": " << status.message();
-  EXPECT_EQ(revived.stats().requests, requests.size());
-  ASSERT_EQ(revived.data(), always_up.data()) << scenario.name;
-  EXPECT_EQ(relational::WriteStructure(revived.data()),
-            relational::WriteStructure(always_up.data()))
-      << scenario.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, SnapshotJournalAllPrograms,
@@ -332,19 +349,35 @@ INSTANTIATE_TEST_SUITE_P(Registry, SnapshotJournalAllPrograms,
                            return programs::AllScenarios()[param_info.param].name;
                          });
 
+/// A record lost from the middle of a segment is corruption, reported when
+/// the store is attached — never a silently shorter replay.
 TEST(RecoveryTest, LostJournalRecordsAreReported) {
+  const std::string dir = TempDirFor("lost_records");
+  RemoveTree(dir);
   auto program = programs::MakeReachUProgram();
-  Engine session(program, 6);
-  session.Apply(Request::Insert("E", {0, 1}));
-  session.Apply(Request::Insert("E", {1, 2}));
-  const std::string snapshot = session.Snapshot();
+  std::string segment;
+  {
+    GuardedEngine session(program, 6, nullptr, nullptr, UncheckedOptions(nullptr));
+    ASSERT_TRUE(session.AttachDurability(dir).ok());
+    for (relational::Element v = 0; v < 4; ++v) {
+      ASSERT_TRUE(session.Apply(Request::Insert("E", {v, v + 1})).ok());
+    }
+    segment = ActiveSegmentPath(session);
+  }
+  // Line 1 is the segment header; drop line 3, the second record.
+  std::string text = ReadFile(segment);
+  const size_t second = text.find('\n', text.find('\n') + 1) + 1;
+  text.erase(second, text.find('\n', second) + 1 - second);
+  {
+    std::ofstream out(segment, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
 
-  // The journal claims fewer records than the snapshot's step counter.
-  Engine revived(program, 6);
-  core::Status status = RestoreFromSnapshotAndJournal(
-      &revived, snapshot, {Request::Insert("E", {0, 1})});
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("lost"), std::string::npos);
+  GuardedEngine revived(program, 6, nullptr, nullptr, UncheckedOptions(nullptr));
+  core::Status status = revived.AttachDurability(dir);
+  EXPECT_EQ(status.code(), core::StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("dropped"), std::string::npos) << status.ToString();
+  RemoveTree(dir);
 }
 
 TEST(RecoveryTest, CorruptSnapshotIsRejectedByRestore) {

@@ -7,6 +7,10 @@ ablation quotients the plan/index work is judged by (see EXPERIMENTS.md,
 plans over the re-planning evaluator, plan-cache hit rates, per-update
 planner invocations, and the delta-materialization counters (DESIGN.md §11).
 
+The re-planning baseline ("Replan" rows) compiles a fresh plan on every
+evaluation (PlanCompiler + ExecutePlan, no cache), so the quotients isolate
+what compile-once and the persistent indexes buy.
+
 Debug-built inputs are rejected (the numbers are meaningless to quote or
 gate on). The JSON context's library_build_type describes the *benchmark
 library* — a system-packaged libbenchmark reports "debug" even under a fully
@@ -15,7 +19,10 @@ tree's CMAKE_BUILD_TYPE via --binary-build-type as the authoritative word on
 the binaries themselves; either source saying "release" is accepted. Pass
 --allow-debug only for tooling tests.
 --min-speedup KEY:RATIO and --min-delta-write-ratio turn derived metrics
-into hard CI gates: the script exits non-zero when a gate fails.
+into hard CI gates: the script exits non-zero when a gate fails. The
+survival and overhead gates (crash recovery, governance overhead, service
+soak) live in GATE_GROUPS below, each threshold written once; --require
+GROUP enforces a group.
 """
 
 import argparse
@@ -76,6 +83,33 @@ def load_rows(paths):
             seen[base] = (len(rows) - 1 if base not in seen else seen[base][0],
                           is_median)
     return context or {}, rows
+
+
+# Survival and overhead gates, one threshold each: derived-metric path,
+# comparison, bound. `--require GROUP` enforces every gate of a group.
+GATE_GROUPS = {
+    # DESIGN.md §12: every crash-matrix kill point revives bit-identically,
+    # revival stays fast, and per-append fsync costs at most 1.25x the
+    # buffered session (measured on tmpfs, so the code path, not the disk).
+    "crash_recovery": [
+        ("recovery.crash_recovery_rate", "==", 1.0),
+        ("recovery.recovery_seconds_avg", "<=", 0.25),
+        ("recovery.durable_overhead", "<=", 1.25),
+    ],
+    # DESIGN.md §10: inactive governance plumbing costs <= 5% of Apply.
+    "governance_overhead": [
+        ("chaos.governance_overhead", "<=", 1.05),
+    ],
+    # DESIGN.md §15: zero crashes, every read linearizes, the post-soak
+    # state equals the oracle's, and a copy-on-write view costs <= 5% of a
+    # deep snapshot.
+    "service_soak": [
+        ("service.soak.crashes", "==", 0),
+        ("service.soak.read_linearizability", "==", 1.0),
+        ("service.soak.oracle_identical", "==", 1.0),
+        ("service.snapshot_view_o1_ratio_max", "<=", 0.05),
+    ],
+}
 
 
 def by_name(rows):
@@ -208,7 +242,28 @@ def derive(rows):
     service = derive_service(rows)
     if service:
         derived["service"] = service
+
+    # The crash-recovery scoreboard (DESIGN.md §12) and the governance
+    # overhead quotient (DESIGN.md §10), as their benchmarks report them.
+    recovery = first_counters(rows, "BM_CrashMatrix",
+                              ("crash_recovery_rate", "recovery_seconds_avg"))
+    recovery |= first_counters(rows, "BM_DurableOverhead", ("durable_overhead",))
+    if recovery:
+        derived["recovery"] = recovery
+    chaos = first_counters(rows, "BM_GovernanceOverhead", ("governance_overhead",))
+    if chaos:
+        derived["chaos"] = chaos
     return derived
+
+
+def first_counters(rows, prefix, keys):
+    """`keys` from the counters of the first row whose name starts with
+    `prefix` (empty when there is none)."""
+    for row in rows:
+        if row["name"].startswith(prefix):
+            counters = row.get("counters", {})
+            return {k: counters[k] for k in keys if k in counters}
+    return {}
 
 
 def derive_service(rows):
@@ -351,33 +406,18 @@ def check_gates(derived, args):
                 failures.append(
                     f"gate batch_fsyncs[{program}]: {worst} fsyncs/request at "
                     f"batch >= 256 exceeds {args.max_batch_fsyncs}")
-    if args.require_service_soak:
-        soak = derived.get("service", {}).get("soak")
-        if soak is None:
-            failures.append("gate service_soak: no BM_ServiceSoak row "
-                            "(bench_service missing?)")
-        else:
-            if soak.get("crashes") != 0:
-                failures.append(
-                    f"gate service_soak: crashes {soak.get('crashes')} != 0")
-            if soak.get("read_linearizability") != 1.0:
-                failures.append(
-                    "gate service_soak: read_linearizability "
-                    f"{soak.get('read_linearizability')} != 1.0")
-            if soak.get("oracle_identical") != 1.0:
-                failures.append(
-                    "gate service_soak: oracle_identical "
-                    f"{soak.get('oracle_identical')} != 1.0")
-    if args.max_snapshot_o1_ratio is not None:
-        ratio = derived.get("service", {}).get("snapshot_view_o1_ratio_max")
-        if ratio is None:
-            failures.append("gate snapshot_o1_ratio: no BM_SnapshotViewO1 "
-                            "rows (bench_service missing?)")
-        elif ratio > args.max_snapshot_o1_ratio:
-            failures.append(
-                f"gate snapshot_o1_ratio: SnapshotView costs {ratio} of a "
-                f"deep snapshot, over the {args.max_snapshot_o1_ratio} "
-                "ceiling — the O(1) publish claim regressed")
+    for group in args.require or []:
+        for path, op, bound in GATE_GROUPS[group]:
+            value = derived
+            for part in path.split("."):
+                value = value.get(part) if isinstance(value, dict) else None
+            if value is None:
+                failures.append(f"gate {path}: metric missing (benchmark not run?)")
+                continue
+            passed = value == bound if op == "==" else value <= bound
+            print(f"gate {path}: {value} (want {op} {bound})", file=sys.stderr)
+            if not passed:
+                failures.append(f"gate {path}: {value} fails {op} {bound}")
     return failures
 
 
@@ -405,13 +445,9 @@ def main():
     parser.add_argument("--max-batch-fsyncs", type=float, metavar="F",
                         help="fail unless every derived.batch program stays "
                              "<= F fsyncs/request at batch sizes >= 256")
-    parser.add_argument("--require-service-soak", action="store_true",
-                        help="fail unless the BM_ServiceSoak row exists with "
-                             "crashes == 0, read_linearizability == 1.0, and "
-                             "oracle_identical == 1.0")
-    parser.add_argument("--max-snapshot-o1-ratio", type=float, metavar="R",
-                        help="fail unless the worst BM_SnapshotViewO1 "
-                             "view-vs-deep-snapshot cost quotient is <= R")
+    parser.add_argument("--require", action="append", choices=sorted(GATE_GROUPS),
+                        help="fail unless every gate of this GATE_GROUPS group "
+                             "holds (repeatable)")
     args = parser.parse_args()
 
     context, rows = load_rows(args.inputs)

@@ -4,9 +4,8 @@
 /// dynamic query shell.
 ///
 /// Usage:
-///   dynfo_cli [--backend=MODE] [--restore=FILE] [--journal=FILE]
-///             [--durable-dir=DIR] [--checkpoint-interval=N] [--deadline-ms=N]
-///             [--max-memory-mb=N] [--batch-size=N]
+///   dynfo_cli [--backend=MODE] [--durable-dir=DIR] [--checkpoint-interval=N]
+///             [--deadline-ms=N] [--max-memory-mb=N] [--batch-size=N]
 ///             <program.dynfo> <universe-size> [script-file]
 ///
 /// Flags:
@@ -15,21 +14,14 @@
 ///                      relation), `hash` (hash sets only), or `dense` (pin
 ///                      every arity<=2 relation to bit planes). See
 ///                      DESIGN.md §13; `stats` reports the live choice.
-///   --restore=FILE     restore a checksummed snapshot (see `snapshot`) into
-///                      the engine before reading commands
-///   --journal=FILE     append every applied request to FILE (crash-
-///                      consistent); existing records are replayed first, so
-///                      restarting with the same journal resumes the session.
-///                      Combined with --restore, only the journal suffix past
-///                      the snapshot's step counter is replayed.
 ///   --durable-dir=DIR  run against the segmented durable store in DIR:
 ///                      every applied request is fsynced into the active
 ///                      segment and every filled segment triggers an
 ///                      incremental checkpoint. If DIR already holds a
 ///                      store the session is revived from it (full snapshot
-///                      + delta + at most one segment of replay). Mutually
-///                      exclusive with --restore/--journal; `restore` and
-///                      `load` are disabled in this mode.
+///                      + delta + at most one segment of replay), so
+///                      restarting with the same DIR resumes the session.
+///                      `restore` and `load` are disabled in this mode.
 ///   --checkpoint-interval=N
 ///                      records per segment (= checkpoint interval and the
 ///                      recovery replay bound) for --durable-dir; default 64
@@ -89,7 +81,6 @@
 #include "core/durable_io.h"
 #include "core/text.h"
 #include "dynfo/engine.h"
-#include "dynfo/journal.h"
 #include "dynfo/loader.h"
 #include "dynfo/recovery.h"
 #include "dynfo/wire.h"
@@ -103,7 +94,6 @@ namespace wire = dynfo::dyn::wire;
 
 using dynfo::dyn::Engine;
 using dynfo::dyn::GuardedEngine;
-using dynfo::dyn::JournalWriter;
 using dynfo::relational::Element;
 using dynfo::relational::Request;
 
@@ -140,12 +130,11 @@ bool ParseMutation(const std::vector<std::string>& words, Request* out) {
   return false;
 }
 
-/// The shell's mutable state: either a bare Engine (optionally with a
-/// legacy journal) or a GuardedEngine owning the durable store. `engine`
-/// always points at the live engine either way.
+/// The shell's mutable state: either a bare Engine or a GuardedEngine
+/// owning the durable store. `engine` always points at the live engine
+/// either way.
 struct Session {
   Engine* engine = nullptr;
-  JournalWriter* journal = nullptr;
   GuardedEngine* guarded = nullptr;  ///< non-null in --durable-dir mode
   dynfo::dyn::ApplyGovernance governance;
   size_t batch_size = 0;  ///< --batch-size=N auto-grouping; 0 = off
@@ -153,65 +142,40 @@ struct Session {
   bool durable() const { return guarded != nullptr; }
 };
 
-/// Validates a request against the input vocabulary, journals it (when a
-/// journal is attached), then applies it under the session's governance
-/// (deadline / memory budget flags). In durable mode the GuardedEngine does
-/// all of that itself (validate, fsynced append, governed apply,
-/// checkpoint-on-rotation). A malformed, rejected, or governed-out request
-/// is reported via Status instead of CHECK-crashing the shell; a request
-/// that fails before or during Apply leaves the engine untouched (though an
-/// already-journaled record of a timed-out request stays — the journal is
-/// an intent log, replay re-attempts it without the deadline).
-dynfo::core::Status ApplyValidated(Session* session, const Request& request) {
-  if (session->durable()) return session->guarded->Apply(request);
-  Engine* engine = session->engine;
-  dynfo::core::Status valid = dynfo::relational::ValidateRequest(
-      *engine->program().input_vocabulary(), engine->universe_size(), request);
-  if (valid.ok() && engine->program().semi_dynamic() &&
-      request.kind == dynfo::relational::RequestKind::kDelete) {
-    valid = dynfo::core::Status::Error("program '" + engine->program().name() +
-                                       "' is semi-dynamic: deletes are not supported");
-  }
-  if (!valid.ok()) return valid;
-  if (session->journal != nullptr) {
-    dynfo::core::Status logged = session->journal->Append(request);
-    if (!logged.ok()) {
-      return dynfo::core::Status::Error("journal append failed: " +
-                                        std::string(logged.message()));
-    }
-  }
-  return engine->TryApply(request, session->governance);
-}
-
-/// Batched counterpart of ApplyValidated: one journal record and one fsync
-/// for the whole group. Durable mode delegates to GuardedEngine::ApplyBatch
-/// (group commit + prefix-atomic abort); otherwise every member is
-/// validated up front — a batch with any invalid member applies nothing —
-/// then the group is journaled as a single record and applied under the
-/// session's governance with one governor for the whole batch.
-dynfo::core::Status ApplyBatchValidated(Session* session,
-                                        std::span<const Request> requests,
-                                        dynfo::dyn::BatchReport* report) {
-  if (session->durable()) return session->guarded->ApplyBatch(requests, report);
-  Engine* engine = session->engine;
+/// The engine's ungoverned path trusts its caller, so the bare-engine shell
+/// checks every request against the program before applying anything.
+dynfo::core::Status ValidateAll(const Engine& engine,
+                                std::span<const Request> requests) {
   for (const Request& request : requests) {
-    dynfo::core::Status valid = dynfo::relational::ValidateRequest(
-        *engine->program().input_vocabulary(), engine->universe_size(), request);
-    if (valid.ok() && engine->program().semi_dynamic() &&
-        request.kind == dynfo::relational::RequestKind::kDelete) {
-      valid = dynfo::core::Status::Error("program '" + engine->program().name() +
-                                         "' is semi-dynamic: deletes are not supported");
-    }
+    dynfo::core::Status valid =
+        engine.program().ValidateRequest(request, engine.universe_size());
     if (!valid.ok()) return valid;
   }
-  if (session->journal != nullptr) {
-    dynfo::core::Status logged = session->journal->AppendBatch(requests);
-    if (!logged.ok()) {
-      return dynfo::core::Status::Error("journal append failed: " +
-                                        std::string(logged.message()));
-    }
-  }
-  return engine->TryApplyBatch(requests, session->governance, report);
+  return dynfo::core::Status();
+}
+
+/// Applies one request under the session's governance (deadline / memory
+/// budget flags). In durable mode the GuardedEngine does all of it itself
+/// (validate, governed apply, fsynced append, checkpoint-on-rotation). A
+/// refused or governed-out request is reported via Status instead of
+/// CHECK-crashing the shell, and leaves the engine untouched.
+dynfo::core::Status ApplyOne(Session* session, const Request& request) {
+  if (session->durable()) return session->guarded->Apply(request);
+  dynfo::core::Status valid =
+      ValidateAll(*session->engine, std::span<const Request>(&request, 1));
+  if (!valid.ok()) return valid;
+  return session->engine->TryApply(request, session->governance);
+}
+
+/// Batched counterpart of ApplyOne: one governor for the whole group, and
+/// in durable mode one group commit and one fsync (GuardedEngine::ApplyBatch,
+/// prefix-atomic abort). A group with any refused member applies nothing.
+dynfo::core::Status ApplyGroup(Session* session, std::span<const Request> requests,
+                               dynfo::dyn::BatchReport* report) {
+  if (session->durable()) return session->guarded->ApplyBatch(requests, report);
+  dynfo::core::Status valid = ValidateAll(*session->engine, requests);
+  if (!valid.ok()) return valid;
+  return session->engine->TryApplyBatch(requests, session->governance, report);
 }
 
 int Run(Session* session, std::istream& in, bool interactive) {
@@ -227,7 +191,7 @@ int Run(Session* session, std::istream& in, bool interactive) {
   auto flush_pending = [&]() -> int {
     if (pending.empty()) return 0;
     dynfo::dyn::BatchReport report;
-    dynfo::core::Status applied = ApplyBatchValidated(session, pending, &report);
+    dynfo::core::Status applied = ApplyGroup(session, pending, &report);
     const size_t size = pending.size();
     pending.clear();
     if (applied.ok()) {
@@ -268,7 +232,7 @@ int Run(Session* session, std::istream& in, bool interactive) {
             if (flushed != 0 && !interactive) return flushed;
           }
         } else {
-          dynfo::core::Status applied = ApplyValidated(session, request);
+          dynfo::core::Status applied = ApplyOne(session, request);
           if (applied.ok()) {
             std::printf("ok: %s\n", request.ToString().c_str());
           } else {
@@ -325,8 +289,7 @@ int Run(Session* session, std::istream& in, bool interactive) {
         if (!interactive) return 2;
       } else {
         dynfo::dyn::BatchReport report;
-        dynfo::core::Status applied =
-            ApplyBatchValidated(session, group, &report);
+        dynfo::core::Status applied = ApplyGroup(session, group, &report);
         if (applied.ok()) {
           std::printf("ok: batch applied %zu request(s)\n", group.size());
         } else {
@@ -464,11 +427,6 @@ int Run(Session* session, std::istream& in, bool interactive) {
         } else {
           std::printf("restored %s (step %llu)\n", words[1].c_str(),
                       static_cast<unsigned long long>(engine->stats().requests));
-          if (session->journal != nullptr) {
-            std::printf(
-                "note: the journal's sequence no longer matches the restored "
-                "step counter; start a fresh journal for crash recovery\n");
-          }
         }
       }
     } else if (command == "compact") {
@@ -495,8 +453,6 @@ int Run(Session* session, std::istream& in, bool interactive) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string restore_path;
-  std::string journal_path;
   std::string durable_dir;
   uint64_t checkpoint_interval = 0;  // 0 = DurableStoreOptions default
   size_t batch_size = 0;             // 0 = unbatched replay
@@ -523,10 +479,6 @@ int main(int argc, char** argv) {
                      mode.c_str());
         return 2;
       }
-    } else if (arg.rfind("--restore=", 0) == 0) {
-      restore_path = arg.substr(10);
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = arg.substr(10);
     } else if (arg.rfind("--durable-dir=", 0) == 0) {
       durable_dir = arg.substr(14);
     } else if (arg.rfind("--checkpoint-interval=", 0) == 0) {
@@ -569,18 +521,11 @@ int main(int argc, char** argv) {
   }
   if (positional.size() < 2 || positional.size() > 3) {
     std::fprintf(stderr,
-                 "usage: %s [--backend=auto|hash|dense] [--restore=FILE] "
-                 "[--journal=FILE] [--durable-dir=DIR] "
+                 "usage: %s [--backend=auto|hash|dense] [--durable-dir=DIR] "
                  "[--checkpoint-interval=N] [--deadline-ms=N] "
                  "[--max-memory-mb=N] [--batch-size=N] "
                  "<program.dynfo> <universe-size> [script]\n",
                  argv[0]);
-    return 2;
-  }
-  if (!durable_dir.empty() && (!restore_path.empty() || !journal_path.empty())) {
-    std::fprintf(stderr,
-                 "error: --durable-dir is mutually exclusive with "
-                 "--restore/--journal (the store revives the session itself)\n");
     return 2;
   }
   if (checkpoint_interval != 0 && durable_dir.empty()) {
@@ -621,7 +566,7 @@ int main(int argc, char** argv) {
   if (!durable_dir.empty()) {
     dynfo::dyn::GuardedEngineOptions options;
     options.engine_options = engine_options;
-    options.check_every = 0;  // no oracle/invariant: the wrapper only journals
+    options.check_every = 0;  // no oracle/invariant: the wrapper only persists
     options.governance.governance = governance;
     guarded.emplace(program.value(), n, /*oracle=*/nullptr,
                     /*invariant=*/nullptr, options);
@@ -658,56 +603,6 @@ int main(int argc, char** argv) {
     std::printf("loaded program '%s' (universe %zu)\n",
                 program.value()->name().c_str(), n);
   }
-
-  if (!restore_path.empty()) {
-    std::ifstream file(restore_path, std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot read %s\n", restore_path.c_str());
-      return 2;
-    }
-    std::stringstream snapshot;
-    snapshot << file.rdbuf();
-    dynfo::core::Status status = engine->Restore(snapshot.str());
-    if (!status.ok()) {
-      std::fprintf(stderr, "error restoring %s: %s\n", restore_path.c_str(),
-                   status.message().c_str());
-      return 2;
-    }
-    std::printf("restored snapshot %s (step %llu)\n", restore_path.c_str(),
-                static_cast<unsigned long long>(engine->stats().requests));
-  }
-
-  std::optional<JournalWriter> journal;
-  if (!journal_path.empty()) {
-    auto opened = JournalWriter::Open(journal_path,
-                                      *program.value()->input_vocabulary(), n);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error opening journal %s: %s\n", journal_path.c_str(),
-                   opened.status().message().c_str());
-      return 2;
-    }
-    journal.emplace(std::move(opened).value());
-    const dynfo::relational::RequestSequence& recovered = journal->recovered();
-    const uint64_t steps = engine->stats().requests;
-    if (steps > recovered.size()) {
-      std::fprintf(stderr,
-                   "error: snapshot is at step %llu but journal %s holds only "
-                   "%zu record(s): journal records were lost\n",
-                   static_cast<unsigned long long>(steps), journal_path.c_str(),
-                   recovered.size());
-      return 2;
-    }
-    if (journal->truncated_torn_tail()) {
-      std::printf("journal %s: dropped a torn final record\n", journal_path.c_str());
-    }
-    for (size_t i = static_cast<size_t>(steps); i < recovered.size(); ++i) {
-      engine->Apply(recovered[i]);
-    }
-    std::printf("journal %s: replayed %zu of %zu recovered record(s)\n",
-                journal_path.c_str(), recovered.size() - static_cast<size_t>(steps),
-                recovered.size());
-  }
-  session.journal = journal.has_value() ? &*journal : nullptr;
 
   if (positional.size() == 3) {
     std::ifstream script(positional[2]);

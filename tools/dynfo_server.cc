@@ -24,14 +24,19 @@
 ///                        more is rejected with wire code 5 (the client's
 ///                        retry-with-backoff signal). 0 = unbounded.
 ///   --shed-compiled-at=F / --shed-naive-at=F
-///                        load factors (waiting/limit) at which reads shed
-///                        from compiled+indexed to compiled, then to naive
+///                        load factors (waiting/limit) in [0, 1] at which
+///                        reads shed from compiled+indexed to compiled, then
+///                        to naive
+///
+/// A malformed flag value exits with the usage code 2.
 ///
 /// Writers serialize through the guarded engine; readers run against
 /// copy-on-write snapshots and are never refused — under writer pressure
 /// they descend the degradation ladder's read tiers instead. The server
 /// runs until SIGINT/SIGTERM.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -50,6 +55,19 @@ namespace {
 std::binary_semaphore g_shutdown(0);
 
 void HandleSignal(int) { g_shutdown.release(); }
+
+/// Parses a whole token as a finite load factor in [0, 1].
+bool ParseLoadFactor(const std::string& token, double* out) {
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0 || value > 1) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 }  // namespace
 
@@ -109,9 +127,15 @@ int main(int argc, char** argv) {
       }
       options.admission_queue_limit = static_cast<size_t>(parsed);
     } else if (arg.rfind("--shed-compiled-at=", 0) == 0) {
-      options.shed_compiled_at = std::stod(arg.substr(19));
+      if (!ParseLoadFactor(arg.substr(19), &options.shed_compiled_at)) {
+        std::fprintf(stderr, "error: bad --shed-compiled-at value (want 0..1)\n");
+        return 2;
+      }
     } else if (arg.rfind("--shed-naive-at=", 0) == 0) {
-      options.shed_naive_at = std::stod(arg.substr(16));
+      if (!ParseLoadFactor(arg.substr(16), &options.shed_naive_at)) {
+        std::fprintf(stderr, "error: bad --shed-naive-at value (want 0..1)\n");
+        return 2;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       return 2;
@@ -124,7 +148,8 @@ int main(int argc, char** argv) {
                  "usage: %s [--listen=unix:/path|tcp:[host:]port] "
                  "[--backend=auto|hash|dense] [--deadline-ms=N] "
                  "[--max-memory-mb=N] [--max-sessions=N] "
-                 "[--admission-limit=N] <program.dynfo> <universe-size>\n",
+                 "[--admission-limit=N] [--shed-compiled-at=F] "
+                 "[--shed-naive-at=F] <program.dynfo> <universe-size>\n",
                  argv[0]);
     return 2;
   }

@@ -24,11 +24,10 @@
 #                    stays <= F fsyncs/request at batch sizes >= 256
 #   --with-service-soak
 #                    also run bench_service (the multi-session soak +
-#                    SnapshotView O(1) probe; DESIGN.md §15) and gate on it:
-#                    zero crashes, read linearizability == 1.0, bit-identical
-#                    oracle state, and snapshot_view_o1_ratio <= 0.05. Smoke
-#                    runs the 65536-request soak; the full run soaks 1M
-#                    requests.
+#                    SnapshotView O(1) probe; DESIGN.md §15) and enforce the
+#                    service_soak gates of aggregate_benches.py's
+#                    GATE_GROUPS. Smoke runs the 65536-request soak; the
+#                    full run soaks 1M requests.
 #
 # The build directory is configured and built here if needed, always as an
 # optimized Release tree: quoting (or gating on) numbers from a debug build
@@ -60,7 +59,7 @@ while [[ $# -gt 0 ]]; do
     --max-batch-fsyncs) AGG_FLAGS+=("--max-batch-fsyncs" "$2"); shift 2 ;;
     --with-service-soak)
       WITH_SERVICE=1
-      AGG_FLAGS+=("--require-service-soak" "--max-snapshot-o1-ratio" "0.05")
+      AGG_FLAGS+=("--require" "service_soak")
       shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
