@@ -33,9 +33,8 @@ struct ResourceLimits {
   bool active() const { return max_tuples != 0 || max_bytes != 0; }
 };
 
-/// Thread-safe cumulative accountant. Charged concurrently by parallel
-/// operator chunks (relaxed atomics — the limit check tolerates a few rows
-/// of slack under races; breach detection is sticky).
+/// Thread-safe cumulative accountant (relaxed atomics — the limit check
+/// tolerates a few rows of slack under races; breach detection is sticky).
 class ResourceBudget {
  public:
   ResourceBudget() = default;

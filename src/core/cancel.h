@@ -3,9 +3,9 @@
 /// governor.
 ///
 /// The evaluation stack has no safe preemption point except between units
-/// of work, so cancellation is cooperative: every operator loop and every
-/// ParallelFor chunk boundary polls an ExecGovernor, which folds together
-/// the three ways a governed Apply can be stopped —
+/// of work, so cancellation is cooperative: every operator loop polls an
+/// ExecGovernor, which folds together the three ways a governed Apply can
+/// be stopped —
 ///
 ///   * Deadline     — wall-clock budget for the whole Apply;
 ///   * CancelToken  — caller-driven async cancellation (another thread may
@@ -20,10 +20,8 @@
 /// governor pointer, so the hot path pays one pointer compare and nothing
 /// else.
 ///
-/// Observed cancellation latency is bounded by one chunk boundary: a
-/// sequential operator polls every kGovernorStride rows, a parallel one at
-/// every chunk claim, and a tripped governor makes the thread pool drain
-/// remaining chunks without running them.
+/// Observed cancellation latency is bounded by one stride: an operator
+/// polls every kGovernorStride rows and returns early once a poll says stop.
 
 #ifndef DYNFO_CORE_CANCEL_H_
 #define DYNFO_CORE_CANCEL_H_
@@ -40,7 +38,7 @@
 
 namespace dynfo::core {
 
-/// How often sequential operator loops poll the governor (rows per poll).
+/// How often operator loops poll the governor (rows per poll).
 /// Chosen to keep poll overhead invisible next to per-row work while
 /// bounding cancellation latency to a few hundred rows.
 inline constexpr size_t kGovernorStride = 256;
@@ -84,10 +82,10 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// The per-Apply stop authority polled at chunk boundaries. Constructed on
-/// the Apply stack, shared by reference with every operator through
-/// EvalContext and with the thread pool through ParallelOptions; all methods
-/// are safe to call concurrently.
+/// The per-Apply stop authority polled by operator loops. Constructed on
+/// the Apply stack and shared by reference with every operator through
+/// EvalContext. All methods are safe to call concurrently: a CancelToken
+/// holder or a test may read the governor while the Apply polls it.
 class ExecGovernor {
  public:
   ExecGovernor() = default;
@@ -117,12 +115,12 @@ class ExecGovernor {
   bool ChargeRows(uint64_t rows, uint64_t row_bytes) const;
 
   /// Total ShouldStop polls so far — the cancellation-latency yardstick:
-  /// after a trip at poll k, the counter stays within a few threads of k.
+  /// after a trip at poll k, the counter stays close to k.
   uint64_t checks() const { return checks_.load(std::memory_order_relaxed); }
 
   /// Test/chaos knob: deterministically trips kCancelled at the `k`-th
   /// ShouldStop poll (1-based; 0 disarms). This is how the atomicity sweep
-  /// cancels at every successive chunk boundary without timing races.
+  /// cancels at every successive poll without timing races.
   void TripAtCheck(uint64_t k) { trip_at_check_ = k; }
 
   /// Chaos knob (worker-stall injector): the `k`-th poll sleeps `millis`

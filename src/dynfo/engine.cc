@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/text.h"
-#include "core/thread_pool.h"
 #include "fo/eval_naive.h"
 #include "fo/normalize.h"
 #include "relational/serialize.h"
@@ -55,6 +54,9 @@ Engine::Engine(std::shared_ptr<const DynProgram> program, size_t universe_size,
     : program_(std::move(program)),
       options_(options),
       data_(program_->data_vocabulary(), universe_size) {
+  DYNFO_CHECK(options_.num_threads == 1)
+      << "EngineOptions::num_threads is fixed at 1 (got " << options_.num_threads
+      << "): every request runs on the calling thread";
   core::Status status = program_->Validate();
   DYNFO_CHECK(status.ok()) << status.message();
   // First-order initialization (f_n(empty), paper condition 4): rules run in
@@ -353,7 +355,6 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
   ctx.num_params = num_params;
   ctx.governor = governor;
   ctx.stats = algebra_.live_stats();
-  ctx.parallel = {options_.num_threads, options_.parallel_grain, governor};
 
   // Evaluate-then-commit: every program reads the old planes and writes an
   // exec-local result (synchronous semantics), so a governor stop aborts
@@ -633,8 +634,8 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   }
 
   // Governed (or report-carrying, or batched) dense path: the same kernels
-  // with the governor polled at op and chunk boundaries. An abort mutates
-  // nothing.
+  // with the governor polled between ops and inside row loops. An abort
+  // mutates nothing.
   if (!tier.has_value() && !dense_rules_.empty()) {
     switch (TryDenseApply(request, governor)) {
       case DenseApplyOutcome::kApplied:
@@ -665,13 +666,11 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   // Stats are accumulated locally and folded into stats_ only after the
   // commit point: an aborted Apply leaves the counters (and therefore
   // Snapshot(), which embeds the request count) untouched.
-  double lets_eval_seconds = 0;
   uint64_t lets_recomputed = 0;
   uint64_t lets_tuples_written = 0;
   uint64_t lets_delta_rules = 0;
   uint64_t lets_fallbacks = 0;
   uint64_t lets_delta_written = 0;
-  std::vector<std::pair<std::string, double>> let_seconds;
 
   // One semi-naive step: erase `removals` from a relation, then insert
   // `additions`. A let computed as base ± op records its op chain back to a
@@ -696,11 +695,10 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   // Temporaries: evaluated in order, committed immediately so later rules in
   // this same request can read them. They never shadow non-let relations'
-  // old values because validated programs use distinct let targets. Lets
-  // feed each other, so they stay sequential (their operators still
-  // parallelize internally). Because lets mutate data_ before the request's
-  // commit point, a governed Apply snapshots each let's old value and rolls
-  // it back on abort (ungoverned Applies never abort and skip the copies).
+  // old values because validated programs use distinct let targets. Because
+  // lets mutate data_ before the request's commit point, a governed Apply
+  // snapshots each let's old value and rolls it back on abort (ungoverned
+  // Applies never abort and skip the copies).
   std::vector<std::pair<std::string, relational::Relation>> let_rollback;
   auto abort_with = [&](core::Status status) {
     for (auto it = let_rollback.rbegin(); it != let_rollback.rend(); ++it) {
@@ -711,7 +709,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   if (rules != nullptr) {
     for (const UpdateRule& rule : rules->lets) {
-      const auto rule_start = std::chrono::steady_clock::now();
       const DeltaPlan& plan = PlanFor(rule);
       relational::Relation result{0};
       if (semi_naive(plan)) {
@@ -747,9 +744,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
       if (governed && governor->stopped()) {
         return abort_with(governor->status());
       }
-      const double elapsed = seconds_since(rule_start);
-      let_seconds.emplace_back(rule.target, elapsed);
-      lets_eval_seconds += elapsed;
       if (governed) {
         let_rollback.emplace_back(rule.target, data_.relation(rule.target));
       }
@@ -759,8 +753,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   // Main updates: evaluate everything against the pre-request state (plus
   // lets), then commit atomically. Synchronous semantics makes the rules
-  // independent — each reads only the old structure — so they evaluate
-  // concurrently when num_threads > 1 (the paper's rule-level parallelism).
+  // independent — each reads only the old structure.
   struct Staged {
     const UpdateRule* rule = nullptr;
     const DeltaPlan* plan = nullptr;
@@ -779,12 +772,10 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     std::vector<DeltaOps> compose_ops;
     uint64_t staged_erased = 0;
     uint64_t staged_inserted = 0;
-    double seconds = 0;
   };
   std::vector<Staged> staged;
   std::set<std::string> targeted;
   if (rules != nullptr) {
-    // Delta plans are cached in a map: compute them before fanning out.
     for (const UpdateRule& rule : rules->updates) {
       DYNFO_CHECK(targeted.insert(rule.target).second)
           << "two update rules target " << rule.target << " in one request";
@@ -795,8 +786,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     }
   }
 
-  auto evaluate_one = [&](Staged& s) {
-    const auto rule_start = std::chrono::steady_clock::now();
+  for (Staged& s : staged) {
     const UpdateRule& rule = *s.rule;
     const DeltaPlan& plan = *s.plan;
     const bool delta = delta_configured && plan.applicable;
@@ -809,8 +799,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
       s.full = true;
       s.fallback = delta_configured;
       s.replacement = EvalRuleFull(rule, ctx, mode);
-      s.seconds = seconds_since(rule_start);
-      return;
+      continue;
     }
     // Removals: base tuples failing the keep-filter. With a bounded removal
     // program they come straight out of the compiled plan (O(delta)); the
@@ -870,19 +859,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
         }
       }
     }
-    s.seconds = seconds_since(rule_start);
-  };
-
-  bool parallel_batch = false;
-  if (options_.num_threads > 1 && staged.size() > 1) {
-    core::TaskGroup group(&core::ThreadPool::Global());
-    for (Staged& s : staged) {
-      group.Add([&evaluate_one, &s] { evaluate_one(s); });
-    }
-    group.RunAndWait(options_.num_threads);
-    parallel_batch = true;
-  } else {
-    for (Staged& s : staged) evaluate_one(s);
   }
 
   // The abort point: every result so far is staged (or rolled back below);
@@ -891,22 +867,15 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     return abort_with(governor->status());
   }
 
-  // Work accounting happens after the join so counters never race, and
-  // after the abort point so a cancelled Apply leaves stats untouched.
+  // Work accounting happens after the abort point so a cancelled Apply
+  // leaves stats untouched.
   ++stats_.requests;
-  if (parallel_batch) ++stats_.parallel_update_batches;
-  for (const auto& [target, elapsed] : let_seconds) {
-    stats_.rule_seconds[target] += elapsed;
-  }
-  stats_.rule_eval_seconds += lets_eval_seconds;
   stats_.relations_recomputed += lets_recomputed;
   stats_.tuples_written += lets_tuples_written + lets_delta_written;
   stats_.tuples_delta_written += lets_delta_written;
   stats_.delta_rules += lets_delta_rules;
   stats_.fallback_recomputes += lets_fallbacks;
   for (const Staged& s : staged) {
-    stats_.rule_seconds[s.rule->target] += s.seconds;
-    stats_.rule_eval_seconds += s.seconds;
     if (s.full) {
       ++stats_.relations_recomputed;
       stats_.tuples_written += s.replacement.size();
@@ -1150,7 +1119,6 @@ bool Engine::QueryBool(std::vector<relational::Element> params) const {
     ctx.params = pbuf;
     ctx.num_params = static_cast<int>(params.size());
     ctx.stats = algebra_.live_stats();
-    ctx.parallel = {options_.num_threads, options_.parallel_grain, nullptr};
     fo::DenseResult result;
     if (fo::ExecuteDenseProgram(*dense_query_, ctx, &result)) return result.bit;
   }

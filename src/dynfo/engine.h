@@ -85,7 +85,7 @@ struct ApplyGovernance {
   /// Wall-clock budget per Apply in milliseconds. 0 = no deadline;
   /// negative = already expired (pins the timeout path in tests).
   int64_t deadline_ms = 0;
-  /// Caller-held cancellation flag, polled at chunk boundaries.
+  /// Caller-held cancellation flag, polled by operator loops.
   const core::CancelToken* cancel = nullptr;
   /// Memory/cardinality budget for materialized intermediates.
   core::ResourceLimits limits;
@@ -140,15 +140,10 @@ struct EngineOptions {
   /// Apply target-preserving rules as in-place diffs. Only honored in
   /// kAlgebra mode; kNaive always recomputes (it is the reference).
   bool use_delta = true;
-  /// Threads used per request (1 = fully sequential). Parallelism operates at
-  /// two levels, mirroring the paper's CRAM model: all of a request's update
-  /// rules evaluate concurrently (synchronous semantics — every rule reads
-  /// only the old structure), and within a rule the algebra operators
-  /// partition their row ranges. Results are identical for every thread
-  /// count; see DESIGN.md "Parallel execution".
+  /// Threads per request: fixed at 1. Every request runs on the calling
+  /// thread; the constructor rejects any other value. Concurrency lives
+  /// across EngineService sessions (DESIGN.md §7).
   int num_threads = 1;
-  /// Minimum rows per chunk for the data-parallel algebra operators.
-  size_t parallel_grain = 256;
   /// Compile each formula to a reusable plan once at load time instead of
   /// re-planning on every evaluation (fo/plan.h). Only meaningful in kAlgebra
   /// mode; off = compile a fresh plan on every evaluation, the "replan"
@@ -173,8 +168,7 @@ struct EngineOptions {
 };
 
 /// Runs one DynProgram at one universe size. Apply/Query must be called from
-/// one thread at a time; with EngineOptions::num_threads > 1 the engine fans
-/// work out internally over the global thread pool.
+/// one thread at a time, and each call runs on the calling thread.
 class Engine {
  public:
   struct Stats {
@@ -200,8 +194,6 @@ class Engine {
     /// side not delta-safe, or the semi-naive gates (compiled plans +
     /// indexes) off for the request.
     uint64_t fallback_recomputes = 0;
-    /// Requests whose update rules were evaluated concurrently.
-    uint64_t parallel_update_batches = 0;
     /// ApplyBatch/TryApplyBatch calls that applied at least one request,
     /// and the requests they applied (each also counted in `requests`).
     uint64_t batches = 0;
@@ -212,22 +204,11 @@ class Engine {
     /// (chrono reads would dominate its sub-microsecond budget), so these
     /// requests contribute nothing to *_seconds.
     uint64_t dense_applies = 0;
-    /// Summed wall time of individual update-rule evaluations (thread-seconds).
-    double rule_eval_seconds = 0;
     /// Elapsed wall time of the update-evaluation phases across requests.
     double update_wall_seconds = 0;
     /// Elapsed wall time of the post-evaluation commit phases (delta
     /// replays, relation swaps, index maintenance) across requests.
     double commit_seconds = 0;
-    /// Cumulative evaluation seconds per target relation.
-    std::map<std::string, double> rule_seconds;
-
-    /// Average concurrency achieved during update evaluation: summed
-    /// per-rule time over elapsed time (1.0 = sequential; approaches
-    /// num_threads under perfect scaling).
-    double ThreadUtilization() const {
-      return update_wall_seconds > 0 ? rule_eval_seconds / update_wall_seconds : 0;
-    }
   };
 
   Engine(std::shared_ptr<const DynProgram> program, size_t universe_size,
@@ -506,11 +487,10 @@ class Engine {
   /// No-op outside kAlgebra mode or with use_compiled_plans off.
   void PrecompileProgram();
 
-  /// Evaluation options derived from EngineOptions (operator-level threads
-  /// plus the compiled-plan/index gates; indexes only with compiled plans).
+  /// Evaluation options derived from EngineOptions (the compiled-plan and
+  /// index gates; indexes only with compiled plans).
   fo::EvalOptions eval_options() const {
-    return {options_.num_threads, options_.parallel_grain,
-            options_.use_compiled_plans,
+    return {options_.use_compiled_plans,
             options_.use_compiled_plans && options_.use_indexes};
   }
 

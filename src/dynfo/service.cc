@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <sstream>
@@ -21,12 +22,10 @@ using relational::Element;
 using relational::Request;
 
 /// Read-path evaluation options for a tier: the ladder's first three rungs
-/// expressed as plan/index gates. Readers run single-threaded — the service
-/// gets its parallelism from concurrent sessions, not from fanning one
-/// query out.
+/// expressed as plan/index gates. Each read runs on its session's thread —
+/// the service gets its parallelism from concurrent sessions.
 fo::EvalOptions ReadOptionsFor(ExecTier tier) {
   fo::EvalOptions options;
-  options.num_threads = 1;
   switch (tier) {
     case ExecTier::kCompiledIndexed:
       options.use_compiled_plans = true;
@@ -425,14 +424,23 @@ void ServiceServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     threads.swap(connection_threads_);
-    connection_fds_.clear();
   }
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
+  {
+    // Every connection has run its exit path: the ids it left are stale.
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    finished_connections_.clear();
+  }
   if (address_.kind == wire::Address::Kind::kUnix) {
     ::unlink(address_.path.c_str());
   }
+}
+
+size_t ServiceServer::connection_threads() const {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connection_threads_.size();
 }
 
 void ServiceServer::AcceptLoop() {
@@ -447,10 +455,28 @@ void ServiceServer::AcceptLoop() {
       break;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    ReapFinishedConnections();
     std::lock_guard<std::mutex> lock(connections_mutex_);
     connection_fds_.push_back(fd);
     connection_threads_.emplace_back(&ServiceServer::ServeConnection, this, fd);
   }
+}
+
+void ServiceServer::ReapFinishedConnections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (std::thread::id id : finished_connections_) {
+      auto it = std::find_if(
+          connection_threads_.begin(), connection_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      finished.push_back(std::move(*it));
+      connection_threads_.erase(it);
+    }
+    finished_connections_.clear();
+  }
+  // Each of these threads has at most its close and CloseSession left.
+  for (std::thread& t : finished) t.join();
 }
 
 void ServiceServer::ServeConnection(int fd) {
@@ -462,7 +488,7 @@ void ServiceServer::ServeConnection(int fd) {
     (void)wire::WriteFrame(
         fd, wire::EncodeResponse(wire::ExitCodeFor(opened.status().code()),
                                  opened.status().message()));
-    ::close(fd);
+    FinishConnection(fd);
     return;
   }
   const EngineService::SessionId session = opened.value();
@@ -479,7 +505,17 @@ void ServiceServer::ServeConnection(int fd) {
     std::string response = Dispatch(session, request);
     if (!wire::WriteFrame(fd, response).ok()) break;
   }
+  FinishConnection(fd);
   service_->CloseSession(session);
+}
+
+void ServiceServer::FinishConnection(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    connection_fds_.erase(
+        std::find(connection_fds_.begin(), connection_fds_.end(), fd));
+    finished_connections_.push_back(std::this_thread::get_id());
+  }
   ::close(fd);
 }
 
@@ -557,6 +593,10 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
       return EncodeResponse(2, error);
     }
     EngineService::ReadPin pin = service_->PinVersion();
+    if (!wire::CheckReadArguments(pin.program().bool_query(), params,
+                                  pin.data().universe_size(), &error)) {
+      return EncodeResponse(2, error);
+    }
     const bool answer = service_->QueryBool(pin, std::move(params));
     return EncodeResponse(
         0, std::string(answer ? "true" : "false") +
@@ -574,6 +614,11 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
     if (!parsed.value()->FreeVariables().empty()) {
       return EncodeResponse(2, "eval needs a sentence (no free variables)");
     }
+    std::string error;
+    if (!wire::CheckReadArguments(parsed.value(), {},
+                                  pin.data().universe_size(), &error)) {
+      return EncodeResponse(2, error);
+    }
     const bool answer = service_->QuerySentence(pin, parsed.value());
     return EncodeResponse(
         0, std::string(answer ? "true" : "false") +
@@ -590,7 +635,11 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
     }
     EngineService::ReadPin pin = service_->PinVersion();
     std::string body = "v=" + std::to_string(pin.version()) + "\n";
-    if (pin.program().FindNamedQuery(words[1]) != nullptr) {
+    if (const NamedQuery* query = pin.program().FindNamedQuery(words[1])) {
+      if (!wire::CheckReadArguments(query->formula, params,
+                                    pin.data().universe_size(), &error)) {
+        return EncodeResponse(2, error);
+      }
       core::Result<relational::Relation> result =
           service_->QueryRelation(pin, words[1], std::move(params));
       if (!result.ok()) return EncodeResponse(1, result.status().message());

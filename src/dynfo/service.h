@@ -355,6 +355,9 @@ class EngineService {
 /// unix:/tcp: address (wire.h), opens one session per connection, and runs
 /// the script grammar over length-prefixed frames. One thread per
 /// connection — the service underneath does the real concurrency control.
+/// The accept loop joins the threads of connections that have finished, so
+/// a long-running server holds threads only for live connections (plus
+/// those that finished since the last accept).
 class ServiceServer {
  public:
   ServiceServer(EngineService* service, wire::Address address);
@@ -370,6 +373,9 @@ class ServiceServer {
   uint64_t connections_accepted() const {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
+  /// Connection threads not yet joined: live ones plus those that finished
+  /// since the last accept.
+  size_t connection_threads() const;
 
   /// One request line (or multi-line batch frame) through the grammar
   /// against `session`; returns the encoded "<code> <body>" response.
@@ -380,6 +386,11 @@ class ServiceServer {
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
+  /// A connection thread's exit: drops `fd` from the live set, marks the
+  /// thread finished for the accept loop to join, then closes `fd`.
+  void FinishConnection(int fd);
+  /// Joins the threads of connections that have finished.
+  void ReapFinishedConnections();
 
   EngineService* service_;
   wire::Address address_;
@@ -388,9 +399,13 @@ class ServiceServer {
   std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::mutex connections_mutex_;
+  mutable std::mutex connections_mutex_;
   std::vector<std::thread> connection_threads_;
+  /// Descriptors of live connections only: a connection removes its fd here
+  /// before closing it, so Stop() never shuts down a reused fd number.
   std::vector<int> connection_fds_;
+  /// Threads whose connection has finished, awaiting a join.
+  std::vector<std::thread::id> finished_connections_;
   std::atomic<uint64_t> connections_accepted_{0};
 };
 

@@ -158,6 +158,14 @@ bool ParseMutation(const std::vector<std::string>& words, Request* out,
     }
     std::vector<Element> elements;
     if (!ParseElements(words, 2, &elements, error)) return false;
+    if (elements.size() > static_cast<size_t>(Tuple::kMaxArity)) {
+      if (error != nullptr) {
+        *error = command + " takes at most " +
+                 std::to_string(Tuple::kMaxArity) + " elements, got " +
+                 std::to_string(elements.size());
+      }
+      return false;
+    }
     Tuple t;
     for (Element e : elements) t = t.Append(e);
     *out = command == "ins" ? Request::Insert(words[1], t)
@@ -174,6 +182,29 @@ bool ParseMutation(const std::vector<std::string>& words, Request* out,
     return true;
   }
   return false;  // not a mutation; error stays empty
+}
+
+bool CheckReadArguments(const fo::FormulaPtr& formula,
+                        const std::vector<Element>& params,
+                        size_t universe_size, std::string* error) {
+  if (formula == nullptr) {
+    *error = "the program has no boolean query";
+    return false;
+  }
+  const int max_index = formula->MaxParameterIndex();
+  if (max_index >= 0 && params.size() <= static_cast<size_t>(max_index)) {
+    *error = "the query uses $" + std::to_string(max_index) + " but " +
+             std::to_string(params.size()) + " element(s) were given";
+    return false;
+  }
+  for (Element e : params) {
+    if (e >= universe_size) {
+      *error = "element " + std::to_string(e) + " is outside the universe 0.." +
+               std::to_string(universe_size - 1);
+      return false;
+    }
+  }
+  return true;
 }
 
 core::Status WriteFrame(int fd, std::string_view payload) {

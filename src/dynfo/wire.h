@@ -29,6 +29,7 @@
 
 #include "core/rng.h"
 #include "core/status.h"
+#include "fo/formula.h"
 #include "relational/request.h"
 
 namespace dynfo::dyn::wire {
@@ -61,6 +62,15 @@ bool IsMutationCommand(const std::string& word);
 /// dispatch decides what that means).
 bool ParseMutation(const std::vector<std::string>& words,
                    relational::Request* out, std::string* error);
+
+/// Checks a read (`query`, `eval`, `show <query>`) before it is evaluated:
+/// `formula` must exist (a program may define no boolean query), every
+/// request parameter $i it uses needs i < params.size(), and every element
+/// must lie in the universe. Returns false with `error` set otherwise; the
+/// front ends answer that as a usage error.
+bool CheckReadArguments(const fo::FormulaPtr& formula,
+                        const std::vector<relational::Element>& params,
+                        size_t universe_size, std::string* error);
 
 // -- Framing ---------------------------------------------------------------
 

@@ -97,7 +97,7 @@ class AlgebraEvaluator {
                                                const EvalContext& ctx) const;
 
   /// A snapshot of the counters. (Internally they are atomics so that one
-  /// evaluator may serve concurrent rule evaluations; see EvalOptions.)
+  /// evaluator may serve concurrent readers; see fo/eval_stats.h.)
   Stats stats() const { return stats_.Snapshot(); }
   void ResetStats() { stats_.Reset(); }
 
@@ -120,8 +120,8 @@ class AlgebraEvaluator {
   };
 
   /// Counters are relaxed atomics: the evaluator is logically const and may
-  /// run on several threads at once (rule-level parallelism). See
-  /// fo/eval_stats.h.
+  /// run on several threads at once (EngineService's shared read
+  /// evaluator). See fo/eval_stats.h.
   mutable AtomicEvalStats stats_;
 
   /// Compiled plans keyed by formula identity (formulas are immutable and

@@ -10,20 +10,14 @@
 #include <vector>
 
 #include "core/cancel.h"
-#include "core/thread_pool.h"
 #include "fo/term.h"
 #include "relational/structure.h"
 
 namespace dynfo::fo {
 
-/// Parallel-execution knobs for set-based evaluation. Defaults are strictly
-/// sequential; evaluators with num_threads > 1 partition row ranges across
-/// the global thread pool in chunks of at least `parallel_grain` items.
-/// Results are always identical to sequential execution (the operators merge
-/// per-chunk buffers deterministically).
+/// Plan and index gates for set-based evaluation. Every evaluation runs on
+/// the calling thread.
 struct EvalOptions {
-  int num_threads = 1;
-  size_t parallel_grain = 256;
   /// Compile formulas to reusable operator-tree plans once and execute the
   /// cached plan thereafter (see fo/plan.h), instead of re-running the greedy
   /// planner on every evaluation. Observationally equivalent; ablate with
@@ -33,8 +27,6 @@ struct EvalOptions {
   /// stored relations (see relational/index.h) instead of rebuilding a
   /// hash build side per join.
   bool use_indexes = true;
-
-  core::ParallelOptions Policy() const { return {num_threads, parallel_grain}; }
 };
 
 /// What a formula is evaluated against: a structure (universe, relations,
@@ -66,14 +58,6 @@ struct EvalContext {
     if (governor == nullptr) return true;
     // Estimated footprint: elements plus per-row container overhead.
     return governor->ChargeRows(rows, width * sizeof(relational::Element) + 16);
-  }
-
-  /// Parallel policy with the governor attached, so chunk claims inside the
-  /// thread pool observe the same stop authority as sequential loops.
-  core::ParallelOptions Policy() const {
-    core::ParallelOptions policy = options.Policy();
-    policy.governor = governor;
-    return policy;
   }
 };
 

@@ -2,8 +2,8 @@
 /// Work counters shared by the algebra evaluator and the compiled-plan
 /// executor, exposed for the evaluator-ablation benchmark.
 ///
-/// One evaluator may serve several concurrent rule evaluations (the engine's
-/// rule-parallel Apply), so the live counters are relaxed atomics — they are
+/// One evaluator may serve several threads at once (the service's shared
+/// read evaluator), so the live counters are relaxed atomics — they are
 /// diagnostics, not synchronization — snapshotted into a plain struct for
 /// reporting. Keep the two structs field-for-field in sync.
 

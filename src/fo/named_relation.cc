@@ -20,17 +20,8 @@ Row ProjectRow(const Row& row, const std::vector<int>& positions) {
   return out;
 }
 
-/// Snapshot of a row set as a contiguous, partitionable array. The set is
-/// not mutated while chunks read through the pointers.
-std::vector<const Row*> GatherRows(const RowSet& rows) {
-  std::vector<const Row*> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.push_back(&row);
-  return out;
-}
-
-/// Strided governor poll for the single-chunk (sequential) operator paths;
-/// the parallel paths are governed at chunk claims by the thread pool.
+/// Strided governor poll: once every kGovernorStride rows (and on the
+/// first), so cancellation latency stays bounded without a per-row atomic.
 bool StridedStop(const core::ExecGovernor* governor, size_t* counter) {
   if (governor == nullptr) return false;
   return ((*counter)++ % core::kGovernorStride) == 0 && governor->ShouldStop();
@@ -60,7 +51,7 @@ bool NamedRelation::AddRow(Row row) {
 }
 
 NamedRelation NamedRelation::Join(const NamedRelation& other,
-                                  const core::ParallelOptions& parallel) const {
+                                  const core::ExecGovernor* governor) const {
   // Shared columns, and the positions of other's non-shared columns.
   std::vector<int> left_key;
   std::vector<int> right_key;
@@ -87,49 +78,23 @@ NamedRelation NamedRelation::Join(const NamedRelation& other,
     index[ProjectRow(row, right_key)].push_back(&row);
   }
 
-  auto probe_one = [&](const Row& row, std::vector<Row>* sink) {
+  size_t polls = 0;
+  for (const Row& row : rows_) {
+    if (StridedStop(governor, &polls)) break;
     auto it = index.find(ProjectRow(row, left_key));
-    if (it == index.end()) return;
+    if (it == index.end()) continue;
     for (const Row* match : it->second) {
       Row combined = row;
       combined.reserve(row.size() + right_extra.size());
       for (int p : right_extra) combined.push_back((*match)[p]);
-      sink->push_back(std::move(combined));
+      out.rows_.insert(std::move(combined));
     }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const size_t num_chunks = pool.PlanChunks(0, rows_.size(), parallel);
-  if (num_chunks <= 1) {
-    std::vector<Row> matches;
-    size_t polls = 0;
-    for (const Row& row : rows_) {
-      if (StridedStop(parallel.governor, &polls)) break;
-      matches.clear();
-      probe_one(row, &matches);
-      for (Row& combined : matches) out.rows_.insert(std::move(combined));
-    }
-    return out;
-  }
-
-  // Partition the probe side; the index is read-only during the scan.
-  std::vector<const Row*> probe = GatherRows(rows_);
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, probe.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       probe_one(*probe[i], &buffer);
-                     }
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& combined : buffer) out.rows_.insert(std::move(combined));
   }
   return out;
 }
 
 NamedRelation NamedRelation::SemiJoin(const NamedRelation& other, bool anti,
-                                      const core::ParallelOptions& parallel) const {
+                                      const core::ExecGovernor* governor) const {
   std::vector<int> left_key;
   std::vector<int> right_key;
   for (size_t j = 0; j < other.columns_.size(); ++j) {
@@ -144,37 +109,17 @@ NamedRelation NamedRelation::SemiJoin(const NamedRelation& other, bool anti,
   for (const Row& row : other.rows_) keys.insert(ProjectRow(row, right_key));
 
   NamedRelation out(columns_);
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const size_t num_chunks = pool.PlanChunks(0, rows_.size(), parallel);
-  if (num_chunks <= 1) {
-    size_t polls = 0;
-    for (const Row& row : rows_) {
-      if (StridedStop(parallel.governor, &polls)) break;
-      bool match = keys.find(ProjectRow(row, left_key)) != keys.end();
-      if (match != anti) out.rows_.insert(row);
-    }
-    return out;
-  }
-
-  std::vector<const Row*> probe = GatherRows(rows_);
-  std::vector<std::vector<const Row*>> buffers(num_chunks);
-  pool.ParallelFor(0, probe.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<const Row*>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       bool match =
-                           keys.find(ProjectRow(*probe[i], left_key)) != keys.end();
-                       if (match != anti) buffer.push_back(probe[i]);
-                     }
-                   });
-  for (const std::vector<const Row*>& buffer : buffers) {
-    for (const Row* row : buffer) out.rows_.insert(*row);
+  size_t polls = 0;
+  for (const Row& row : rows_) {
+    if (StridedStop(governor, &polls)) break;
+    bool match = keys.find(ProjectRow(row, left_key)) != keys.end();
+    if (match != anti) out.rows_.insert(row);
   }
   return out;
 }
 
 NamedRelation NamedRelation::ComplementWithin(size_t n,
-                                              const core::ParallelOptions& parallel) const {
+                                              const core::ExecGovernor* governor) const {
   NamedRelation out(columns_);
   const int k = width();
   uint64_t total = 1;
@@ -184,45 +129,18 @@ NamedRelation NamedRelation::ComplementWithin(size_t n,
     total *= n;
   }
 
-  // Decodes grid index `code` into the mixed-radix row (most-significant
-  // column first, matching the sequential odometer's order).
-  auto decode = [&](uint64_t code, Row* row) {
-    for (int i = k - 1; i >= 0; --i) {
-      (*row)[i] = static_cast<relational::Element>(code % n);
-      code /= n;
+  // Odometer over the n^k grid, most-significant column first.
+  Row row(k, 0);
+  size_t polls = 0;
+  for (uint64_t code = 0; code < total; ++code) {
+    if (StridedStop(governor, &polls)) break;
+    if (rows_.find(row) == rows_.end()) out.rows_.insert(row);
+    int i = k - 1;
+    while (i >= 0 && row[i] + 1 == n) {
+      row[i] = 0;
+      --i;
     }
-  };
-  auto scan = [&](uint64_t chunk_begin, uint64_t chunk_end, auto&& emit) {
-    Row row(k, 0);
-    decode(chunk_begin, &row);
-    size_t polls = 0;
-    for (uint64_t code = chunk_begin; code < chunk_end; ++code) {
-      if (StridedStop(parallel.governor, &polls)) break;
-      if (rows_.find(row) == rows_.end()) emit(row);
-      int i = k - 1;
-      while (i >= 0 && row[i] + 1 == n) {
-        row[i] = 0;
-        --i;
-      }
-      if (i >= 0) ++row[i];
-    }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const size_t num_chunks = pool.PlanChunks(0, total, parallel);
-  if (num_chunks <= 1) {
-    scan(0, total, [&](const Row& row) { out.rows_.insert(row); });
-    return out;
-  }
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, total, parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     scan(chunk_begin, chunk_end,
-                          [&](const Row& row) { buffer.push_back(row); });
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& row : buffer) out.rows_.insert(std::move(row));
+    if (i >= 0) ++row[i];
   }
   return out;
 }

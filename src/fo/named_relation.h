@@ -13,9 +13,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/cancel.h"
 #include "core/check.h"
 #include "core/small_vector.h"
-#include "core/thread_pool.h"
 #include "relational/tuple.h"
 
 namespace dynfo::fo {
@@ -66,22 +66,20 @@ class NamedRelation {
   bool AddRow(Row row);
 
   /// Natural join on the shared columns (cross product when none shared).
-  /// The probe side (*this) is partitioned across threads per `parallel`;
-  /// per-chunk outputs are merged in chunk order, so the result is identical
-  /// to sequential execution.
+  /// Governed callers pass their governor: the probe loop over *this polls
+  /// it every core::kGovernorStride rows and stops early on a trip, as do
+  /// SemiJoin's probe loop and ComplementWithin's grid scan.
   NamedRelation Join(const NamedRelation& other,
-                     const core::ParallelOptions& parallel = {}) const;
+                     const core::ExecGovernor* governor = nullptr) const;
 
   /// Semi-join: rows of *this matching some row of `other` on the shared
-  /// columns. Requires other's columns ⊆ this's columns. The probe side is
-  /// partitioned like Join's.
+  /// columns. Requires other's columns ⊆ this's columns.
   NamedRelation SemiJoin(const NamedRelation& other, bool anti,
-                         const core::ParallelOptions& parallel = {}) const;
+                         const core::ExecGovernor* governor = nullptr) const;
 
-  /// Rows of the full universe^k not in *this. The n^k grid is partitioned
-  /// across threads per `parallel`.
+  /// Rows of the full universe^k not in *this.
   NamedRelation ComplementWithin(size_t n,
-                                 const core::ParallelOptions& parallel = {}) const;
+                                 const core::ExecGovernor* governor = nullptr) const;
 
   /// Extends with new columns ranging over the whole universe (cross
   /// product). New columns must be fresh. The output has |this| * n^new

@@ -263,8 +263,8 @@ DeltaProgram CompileDeltaRemovals(const PlanCompiler& compiler,
 /// comparisons, and filtered extensions, recursing into joined subplans.
 bool PlanIsDeltaBounded(const Plan& plan);
 
-/// Executes a compiled plan. Honors ctx.options (thread policy and
-/// use_indexes) and counts its operators into `stats`.
+/// Executes a compiled plan. Honors ctx.options.use_indexes and counts its
+/// operators into `stats`.
 NamedRelation ExecutePlan(const Plan& plan, const EvalContext& ctx,
                           AtomicEvalStats* stats);
 
@@ -367,9 +367,6 @@ struct DenseExecContext {
   int num_params = 0;
   const core::ExecGovernor* governor = nullptr;  ///< polled strided; nullable
   AtomicEvalStats* stats = nullptr;              ///< nullable
-  /// Word loops above `parallel.grain` words chunk through the global pool;
-  /// the attached governor is polled at every chunk claim.
-  core::ParallelOptions parallel;
 };
 
 /// A dense value: rank 0 is `bit`; rank 1 `words` holds ceil(n/64) words;

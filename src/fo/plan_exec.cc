@@ -10,7 +10,6 @@
 
 #include "core/cancel.h"
 #include "core/check.h"
-#include "core/thread_pool.h"
 #include "fo/eval_naive.h"
 #include "fo/plan.h"
 #include "relational/dense_set.h"
@@ -27,18 +26,11 @@ Env EnvFromRow(const std::vector<std::string>& columns, const Row& row) {
   return env;
 }
 
-std::vector<const Row*> GatherRows(const RowSet& rows) {
-  std::vector<const Row*> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.push_back(&row);
-  return out;
-}
-
 void Count(std::atomic<uint64_t>& counter, uint64_t delta = 1) {
   counter.fetch_add(delta, std::memory_order_relaxed);
 }
 
-/// Strided governor poll for sequential operator loops: polls once every
+/// Strided governor poll for operator loops: polls once every
 /// kGovernorStride iterations (and on the first), so cancellation latency
 /// stays bounded without a per-row atomic. Usage:
 ///   size_t polls = 0;
@@ -121,7 +113,7 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
   Count(stats->joins);
   if (!ctx.options.use_indexes) {
     // Index-less shape: hash-join against a freshly scanned build side.
-    return acc.Join(ExecuteScan(step.scan, ctx, stats), ctx.options.Policy());
+    return acc.Join(ExecuteScan(step.scan, ctx, stats), ctx.governor);
   }
 
   const AtomAccess& access = step.probe;
@@ -139,52 +131,24 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
   NamedRelation out(columns);
   Count(stats->index_probes, acc.size());
 
-  auto probe_one = [&](const Row& row, std::vector<Row>* sink) {
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
     relational::Tuple key;
     for (size_t i = 0; i < access.key.size(); ++i) {
       const int column = access.key[i].source_column;
       key = key.Append(column >= 0 ? row[column] : ground[i]);
     }
     const std::vector<relational::Tuple>* bucket = index.Find(key);
-    if (bucket == nullptr) return;
+    if (bucket == nullptr) continue;
     for (const relational::Tuple& t : *bucket) {
       if (!DupChecksPass(access, t)) continue;
       Row extended = row;
       for (int p : access.extend_positions) extended.push_back(t[p]);
-      sink->push_back(std::move(extended));
+      out.AddRow(std::move(extended));
     }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    std::vector<Row> matches;
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      matches.clear();
-      probe_one(row, &matches);
-      for (Row& extended : matches) out.AddRow(std::move(extended));
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
   }
-
-  // Per-chunk buffers merged in chunk order: identical to sequential.
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       probe_one(*rows[i], &buffer);
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& extended : buffer) out.AddRow(std::move(extended));
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -193,36 +157,13 @@ NamedRelation ExecuteFilterRows(const NamedRelation& acc, const ConjStep& step,
   NamedRelation out(acc.columns());
   Count(stats->filter_row_evals, acc.size());
 
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      Env env = EnvFromRow(acc.columns(), row);
-      if (NaiveEvaluator::Holds(*step.formula, ctx, &env)) out.AddRow(row);
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
+    Env env = EnvFromRow(acc.columns(), row);
+    if (NaiveEvaluator::Holds(*step.formula, ctx, &env)) out.AddRow(row);
   }
-
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<const Row*>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<const Row*>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       Env env = EnvFromRow(acc.columns(), *rows[i]);
-                       if (NaiveEvaluator::Holds(*step.formula, ctx, &env)) {
-                         buffer.push_back(rows[i]);
-                       }
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (const std::vector<const Row*>& buffer : buffers) {
-    for (const Row* row : buffer) out.AddRow(*row);
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -258,7 +199,9 @@ NamedRelation ExecuteFilterExtend(const NamedRelation& acc, const ConjStep& step
   NamedRelation out(columns);
   Count(stats->filter_row_evals, acc.size() * n);
 
-  auto extend_one = [&](const Row& row, std::vector<Row>* sink) {
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
     Env env = EnvFromRow(acc.columns(), row);
     env.Push(step.var, 0);
     for (size_t v = 0; v < n; ++v) {
@@ -266,40 +209,11 @@ NamedRelation ExecuteFilterExtend(const NamedRelation& acc, const ConjStep& step
       if (NaiveEvaluator::Holds(*step.formula, ctx, &env)) {
         Row extended = row;
         extended.push_back(static_cast<relational::Element>(v));
-        sink->push_back(std::move(extended));
+        out.AddRow(std::move(extended));
       }
     }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    std::vector<Row> extensions;
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      extensions.clear();
-      extend_one(row, &extensions);
-      for (Row& extended : extensions) out.AddRow(std::move(extended));
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
   }
-
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       extend_one(*rows[i], &buffer);
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& extended : buffer) out.AddRow(std::move(extended));
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -352,10 +266,11 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
   NamedRelation out(columns);
   Count(stats->index_probes, acc.size() * states.size());
 
-  auto extend_one = [&](const Row& row, std::vector<Row>* sink) {
-    // Values from different branches may coincide; dedup locally so parallel
-    // chunks emit the same multiset the output RowSet would keep anyway.
-    std::vector<relational::Element> values;
+  std::vector<relational::Element> values;
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
+    values.clear();
     for (const BranchState& state : states) {
       const ExtendBranch& branch = *state.branch;
       if (!branch.is_atom) {
@@ -376,44 +291,16 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
         values.push_back(t[access.extend_positions[0]]);
       }
     }
+    // Values from different branches may coincide.
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
     for (relational::Element value : values) {
       Row extended = row;
       extended.push_back(value);
-      sink->push_back(std::move(extended));
+      out.AddRow(std::move(extended));
     }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    std::vector<Row> extensions;
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      extensions.clear();
-      extend_one(row, &extensions);
-      for (Row& extended : extensions) out.AddRow(std::move(extended));
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
   }
-
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       extend_one(*rows[i], &buffer);
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& extended : buffer) out.AddRow(std::move(extended));
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -431,7 +318,7 @@ NamedRelation ExecuteConjunction(const Plan& plan, const EvalContext& ctx,
       case ConjStepKind::kSemiJoin:
         Count(stats->semi_joins);
         acc = acc.SemiJoin(ExecutePlan(*step.child, ctx, stats), step.anti,
-                           ctx.Policy());
+                           ctx.governor);
         break;
       case ConjStepKind::kEqExtend:
         if (acc.empty()) return NamedRelation(plan.columns);
@@ -452,7 +339,7 @@ NamedRelation ExecuteConjunction(const Plan& plan, const EvalContext& ctx,
       case ConjStepKind::kSatJoin:
         if (acc.empty()) return NamedRelation(plan.columns);
         Count(stats->joins);
-        acc = acc.Join(ExecutePlan(*step.child, ctx, stats), ctx.Policy());
+        acc = acc.Join(ExecutePlan(*step.child, ctx, stats), ctx.governor);
         break;
     }
     // The row-level operators charge internally; joins/semi-joins
@@ -642,7 +529,7 @@ NamedRelation ExecutePlan(const Plan& plan, const EvalContext& ctx,
     case PlanKind::kComplement: {
       NamedRelation sat = ExecutePlan(*plan.children[0], ctx, stats);
       Count(stats->complements);
-      return sat.ComplementWithin(ctx.universe_size(), ctx.Policy());
+      return sat.ComplementWithin(ctx.universe_size(), ctx.governor);
     }
     case PlanKind::kConjunction:
       return ExecuteConjunction(plan, ctx, stats);
@@ -911,21 +798,6 @@ class DenseEvaluator {
     }
   }
 
-  /// Runs fn(word_begin, word_end) over [0, total), chunked through the
-  /// global pool when the parallel policy asks for threads (the governor is
-  /// polled at every chunk claim by the pool itself).
-  template <typename Fn>
-  void ForWords(size_t total, Fn&& fn) {
-    if (ctx_.parallel.num_threads > 1 && total >= ctx_.parallel.grain) {
-      core::ThreadPool::Global().ParallelFor(
-          0, total, ctx_.parallel,
-          [&](size_t, size_t begin, size_t end) { fn(begin, end); });
-    } else {
-      fn(0, total);
-    }
-    words_touched_ += total;
-  }
-
   void Fill(DenseResult* out, int rank, bool value) {
     out->rank = rank;
     out->bit = value;
@@ -943,10 +815,8 @@ class DenseEvaluator {
       v->bit = !v->bit;
       return;
     }
-    uint64_t* w = v->words.data();
-    ForWords(v->words.size(), [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) w[i] = ~w[i];
-    });
+    for (uint64_t& w : v->words) w = ~w;
+    words_touched_ += v->words.size();
     MaskTails(&v->words, v->rank);
   }
 
@@ -958,13 +828,13 @@ class DenseEvaluator {
     }
     uint64_t* a = acc->words.data();
     const uint64_t* b = operand.words.data();
-    ForWords(acc->words.size(), [&](size_t begin, size_t end) {
-      if (conj) {
-        for (size_t i = begin; i < end; ++i) a[i] &= b[i];
-      } else {
-        for (size_t i = begin; i < end; ++i) a[i] |= b[i];
-      }
-    });
+    const size_t total = acc->words.size();
+    if (conj) {
+      for (size_t i = 0; i < total; ++i) a[i] &= b[i];
+    } else {
+      for (size_t i = 0; i < total; ++i) a[i] |= b[i];
+    }
+    words_touched_ += total;
   }
 
   /// Turns a value over one slot (a bit for rank 0 inputs, else `vec`) into

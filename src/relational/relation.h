@@ -63,11 +63,11 @@ enum class RelationBackend : uint8_t { kHash, kDense };
 /// Thread-safety: concurrent *readers* — including concurrent EnsureIndex
 /// calls, which synchronize on an internal mutex, and concurrent copies,
 /// which only bump the shared base's refcount — are safe; mutation must be
-/// externally serialized against all access, which the engine's synchronous
-/// update semantics already guarantees (rules read the old structure
-/// concurrently, commits are single-threaded). A staged copy may be mutated
-/// while other threads read the original: the base is shared then, so writes
-/// go to the copy's private overlay and never touch shared slots.
+/// externally serialized against all access, which the engine (one thread
+/// per request) and EngineService (one writer at a time) guarantee. A staged
+/// copy may be mutated while other threads read the original: the base is
+/// shared then, so writes go to the copy's private overlay and never touch
+/// shared slots.
 class Relation {
  public:
   /// Iterates `added` first, then `base` minus `removed`. The base phase

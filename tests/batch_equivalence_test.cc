@@ -1,7 +1,7 @@
 /// Batched Apply equivalence: ApplyBatch over a request sequence must be
 /// bit-identical to applying the same requests one at a time — for every
 /// registry scenario, every batch split, and every engine configuration
-/// (hash/dense/delta/naive/parallel). Batching is a *commit* optimization,
+/// (hash/dense/delta/naive). Batching is a *commit* optimization,
 /// never a semantic one: each request in the batch is still one synchronous
 /// Dyn-FO step reading the structure its predecessor left.
 ///
@@ -55,9 +55,6 @@ std::vector<Config> Configs() {
   dense_forced.use_dense_relations = true;
   dense_forced.force_dense_backend = true;
   out.push_back({"dense_forced", dense_forced});
-  EngineOptions parallel;
-  parallel.num_threads = 4;
-  out.push_back({"parallel", parallel});
   return out;
 }
 

@@ -3,8 +3,8 @@
 /// assert, for each trip point, that the engine snapshot is bit-identical
 /// to the pre-Apply state — then that a retried ungoverned Apply lands on
 /// exactly the oracle state. This is the strongest form of the "no
-/// torn Apply" guarantee: there is no chunk boundary at which cancelling
-/// leaks a partial update (including mid-request let commits, which must
+/// torn Apply" guarantee: there is no poll at which cancelling leaks a
+/// partial update (including mid-request let commits, which must
 /// roll back).
 
 #include <gtest/gtest.h>
@@ -19,10 +19,9 @@ namespace {
 
 class CancelAtomicity : public ::testing::TestWithParam<size_t> {};
 
-void SweepScenario(const programs::ProgramScenario& scenario, int num_threads) {
+void SweepScenario(const programs::ProgramScenario& scenario) {
   const size_t n = scenario.default_universe;
   EngineOptions options;
-  options.num_threads = num_threads;
   auto program = scenario.make_program();
   const relational::RequestSequence requests =
       scenario.make_workload(n, /*seed=*/21);
@@ -66,11 +65,7 @@ void SweepScenario(const programs::ProgramScenario& scenario, int num_threads) {
 }
 
 TEST_P(CancelAtomicity, EveryPollBoundaryAbortsCleanly) {
-  SweepScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/1);
-}
-
-TEST_P(CancelAtomicity, EveryPollBoundaryAbortsCleanlyParallel) {
-  SweepScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/4);
+  SweepScenario(programs::AllScenarios()[GetParam()]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, CancelAtomicity,

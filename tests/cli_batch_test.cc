@@ -3,8 +3,10 @@
 /// the binary level: a script whose length is not a multiple of the batch
 /// size must flush its trailing partial group at end-of-script (and before
 /// `quit`, a read, or an explicit `batch` block) — and a failed trailing
-/// flush must still set the process exit code. Drives the real dynfo_cli
-/// executable (DYNFO_CLI_PATH) against specs/parity.dynfo.
+/// flush must still set the process exit code. Also pins that malformed
+/// script lines (over-long tuples, reads missing their parameters) are
+/// reported, not fatal. Drives the real dynfo_cli executable
+/// (DYNFO_CLI_PATH) against specs/parity.dynfo or a spec the test writes.
 
 #include <gtest/gtest.h>
 
@@ -24,19 +26,23 @@ struct RunResult {
   std::string output;
 };
 
+/// A temp file path named after the running test: ctest runs these tests as
+/// parallel processes, which must not overwrite each other's files.
+std::string TestFilePath(const std::string& suffix) {
+  return ::testing::TempDir() + "/cli_batch_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() + suffix;
+}
+
 /// Writes `script` to a temp file and replays it through the real binary.
-/// The file is named after the running test: ctest runs these tests as
-/// parallel processes, which must not overwrite each other's scripts.
-RunResult RunCli(const std::string& flags, const std::string& script) {
-  const std::string script_path =
-      ::testing::TempDir() + "/cli_batch_script_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
+RunResult RunCli(const std::string& flags, const std::string& script,
+                 const std::string& spec = kParitySpec) {
+  const std::string script_path = TestFilePath("_script.txt");
   {
     std::ofstream out(script_path);
     out << script;
   }
   const std::string command = std::string(kCliPath) + " " + flags + " " +
-                              kParitySpec + " 8 " + script_path + " 2>&1";
+                              spec + " 8 " + script_path + " 2>&1";
   RunResult result;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
@@ -148,6 +154,46 @@ TEST(CliBatchTest, BatchSizeOneMatchesUnbatchedSemantics) {
   EXPECT_EQ(CountOf(run.output, "ok: batch applied 1 request(s)"), 3u)
       << run.output;
   EXPECT_NE(run.output.find("true"), std::string::npos) << run.output;
+}
+
+TEST(CliInputTest, OverlongTupleIsReportedNotFatal) {
+  const RunResult run = RunCli("", "ins M 1 2 3 4 5\nins M 1\nquery\n");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("error: ins takes at most 4 elements, got 5"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("true"), std::string::npos) << run.output;
+}
+
+TEST(CliInputTest, ReadsMissingTheirParametersAreReportedNotFatal) {
+  // The boolean query needs two elements and the named query one; `query`
+  // passes its elements on, as the server's does.
+  const std::string spec = TestFilePath(".dynfo");
+  {
+    std::ofstream out(spec);
+    out << "program params\n"
+           "input {\n  relation E/2\n}\n"
+           "data {\n  relation E/2\n}\n"
+           "query := E($0, $1)\n"
+           "query adj(y) := E($0, y)\n";
+  }
+  for (const char* backend : {"--backend=hash", "--backend=dense"}) {
+    const RunResult run = RunCli(backend,
+                                 "ins E 1 2\n"
+                                 "query\n"
+                                 "query 1\n"
+                                 "query 100 2\n"
+                                 "show adj\n"
+                                 "eval E($0, 2)\n"
+                                 "query 1 2\n"
+                                 "show adj 1\n",
+                                 spec);
+    EXPECT_EQ(run.exit_code, 0) << backend << "\n" << run.output;
+    EXPECT_EQ(CountOf(run.output, "error: "), 5u) << backend << "\n" << run.output;
+    EXPECT_NE(run.output.find("\ntrue\n"), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find("adj = {(2)}"), std::string::npos) << run.output;
+  }
+  std::remove(spec.c_str());
 }
 
 }  // namespace

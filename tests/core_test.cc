@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <set>
-#include <vector>
 
 #include "core/check.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "core/thread_pool.h"
 
 namespace dynfo::core {
 namespace {
@@ -109,90 +105,6 @@ TEST(RngTest, ChanceExtremes) {
     EXPECT_TRUE(rng.Chance(5, 5));
     EXPECT_FALSE(rng.Chance(0, 5));
   }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool& pool = ThreadPool::Global();
-  const size_t total = 10000;
-  std::vector<std::atomic<int>> hits(total);
-  ParallelOptions options{/*num_threads=*/4, /*grain=*/64};
-  pool.ParallelFor(0, total, options,
-                   [&](size_t, size_t chunk_begin, size_t chunk_end) {
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       hits[i].fetch_add(1, std::memory_order_relaxed);
-                     }
-                   });
-  for (size_t i = 0; i < total; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, ChunkIndexedBuffersReassembleInOrder) {
-  ThreadPool& pool = ThreadPool::Global();
-  const size_t total = 5000;
-  ParallelOptions options{/*num_threads=*/8, /*grain=*/1};
-  const size_t num_chunks = pool.PlanChunks(0, total, options);
-  ASSERT_GE(num_chunks, 2u);
-  std::vector<std::vector<size_t>> buffers(num_chunks);
-  pool.ParallelFor(0, total, options,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       buffers[chunk].push_back(i);
-                     }
-                   });
-  std::vector<size_t> merged;
-  for (const std::vector<size_t>& buffer : buffers) {
-    merged.insert(merged.end(), buffer.begin(), buffer.end());
-  }
-  // Deterministic merge: chunk order reproduces the sequential order.
-  ASSERT_EQ(merged.size(), total);
-  for (size_t i = 0; i < total; ++i) ASSERT_EQ(merged[i], i);
-}
-
-TEST(ThreadPoolTest, SmallRangeTakesInlineFastPath) {
-  ThreadPool& pool = ThreadPool::Global();
-  const uint64_t inline_before = pool.stats().inline_batches;
-  ParallelOptions options{/*num_threads=*/8, /*grain=*/256};
-  std::atomic<size_t> sum{0};
-  pool.ParallelFor(0, 100, options,
-                   [&](size_t, size_t chunk_begin, size_t chunk_end) {
-                     sum.fetch_add(chunk_end - chunk_begin);
-                   });
-  EXPECT_EQ(sum.load(), 100u);
-  EXPECT_GT(pool.stats().inline_batches, inline_before);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  ThreadPool& pool = ThreadPool::Global();
-  ParallelOptions outer{/*num_threads=*/4, /*grain=*/1};
-  ParallelOptions inner{/*num_threads=*/4, /*grain=*/1};
-  std::atomic<size_t> sum{0};
-  pool.ParallelFor(0, 16, outer, [&](size_t, size_t chunk_begin, size_t chunk_end) {
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      pool.ParallelFor(0, 64, inner, [&](size_t, size_t inner_begin, size_t inner_end) {
-        sum.fetch_add(inner_end - inner_begin, std::memory_order_relaxed);
-      });
-    }
-  });
-  EXPECT_EQ(sum.load(), 16u * 64u);
-}
-
-TEST(ThreadPoolTest, TaskGroupRunsEveryTaskOnce) {
-  TaskGroup group(&ThreadPool::Global());
-  const size_t num_tasks = 32;
-  std::vector<std::atomic<int>> runs(num_tasks);
-  for (size_t i = 0; i < num_tasks; ++i) {
-    group.Add([&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.RunAndWait(/*num_threads=*/4);
-  for (size_t i = 0; i < num_tasks; ++i) EXPECT_EQ(runs[i].load(), 1);
-  // The group is cleared after the join: a second wait is a no-op.
-  group.RunAndWait(/*num_threads=*/4);
-  for (size_t i = 0; i < num_tasks; ++i) EXPECT_EQ(runs[i].load(), 1);
-}
-
-TEST(ThreadPoolTest, GlobalPoolSupportsMultiThreadRunsEverywhere) {
-  // The floor on the global pool's size keeps thread sweeps meaningful even
-  // in single-core containers.
-  EXPECT_GE(ThreadPool::Global().num_workers(), 7);
 }
 
 }  // namespace

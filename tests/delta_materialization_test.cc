@@ -2,7 +2,7 @@
 /// §11): for EVERY program in the registry, the semi-naive delta engine
 /// (compiled plans + indexes + use_delta, the default configuration) must be
 /// bit-identical to full rematerialization after every request, across
-/// random update sequences and thread counts — and its persistent indexes
+/// random update sequences — and its persistent indexes
 /// must stay consistent with the relations they shadow. Also unit-tests the
 /// copy-on-write Relation versioning the delta commit paths rely on, and
 /// sweeps governed cancellation across the delta path specifically.
@@ -21,14 +21,12 @@ namespace {
 
 constexpr uint64_t kSeeds[] = {5, 31};
 
-EngineOptions DeltaOptions(int num_threads) {
-  EngineOptions options;  // defaults: algebra, delta, compiled plans, indexes
-  options.num_threads = num_threads;
-  return options;
+EngineOptions DeltaOptions() {
+  return EngineOptions();  // defaults: algebra, delta, compiled plans, indexes
 }
 
-EngineOptions FullOptions(int num_threads) {
-  EngineOptions options = DeltaOptions(num_threads);
+EngineOptions FullOptions() {
+  EngineOptions options = DeltaOptions();
   options.use_delta = false;  // rematerialize every rule target per request
   return options;
 }
@@ -39,15 +37,15 @@ class DeltaMaterialization : public ::testing::TestWithParam<size_t> {};
 /// delta engine's structure serializes byte-for-byte like the
 /// full-rematerialization engine's, and every index it maintained
 /// incrementally matches a from-scratch rebuild.
-void CheckScenario(const programs::ProgramScenario& scenario, int num_threads) {
+void CheckScenario(const programs::ProgramScenario& scenario) {
   const size_t n = scenario.default_universe;
   auto program = scenario.make_program();
   for (uint64_t seed : kSeeds) {
     const relational::RequestSequence requests = scenario.make_workload(n, seed);
     ASSERT_FALSE(requests.empty()) << scenario.name;
 
-    Engine delta(program, n, DeltaOptions(num_threads));
-    Engine full(program, n, FullOptions(num_threads));
+    Engine delta(program, n, DeltaOptions());
+    Engine full(program, n, FullOptions());
     if (scenario.post_init) {
       scenario.post_init(&delta);
       scenario.post_init(&full);
@@ -73,11 +71,7 @@ void CheckScenario(const programs::ProgramScenario& scenario, int num_threads) {
 }
 
 TEST_P(DeltaMaterialization, MatchesFullRematerializationBitIdentically) {
-  CheckScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/1);
-}
-
-TEST_P(DeltaMaterialization, MatchesFullRematerializationBitIdenticallyParallel) {
-  CheckScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/4);
+  CheckScenario(programs::AllScenarios()[GetParam()]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, DeltaMaterialization,
@@ -94,7 +88,7 @@ TEST(DeltaMaterialization, SemiNaivePathEngagesAcrossTheRegistry) {
   uint64_t delta_written = 0;
   for (const programs::ProgramScenario& scenario : programs::AllScenarios()) {
     const size_t n = scenario.default_universe;
-    Engine engine(scenario.make_program(), n, DeltaOptions(1));
+    Engine engine(scenario.make_program(), n, DeltaOptions());
     if (scenario.post_init) scenario.post_init(&engine);
     for (const relational::Request& request : scenario.make_workload(n, 5)) {
       engine.Apply(request);
@@ -118,7 +112,7 @@ TEST(DeltaMaterialization, CancelMidDeltaApplyLeavesStateUntouched) {
   }
   ASSERT_NE(reach_u, nullptr);
   const size_t n = reach_u->default_universe;
-  Engine engine(reach_u->make_program(), n, DeltaOptions(1));
+  Engine engine(reach_u->make_program(), n, DeltaOptions());
   const relational::RequestSequence requests = reach_u->make_workload(n, 5);
   const size_t half = requests.size() / 2;
   for (size_t i = 0; i < half; ++i) engine.Apply(requests[i]);
@@ -141,7 +135,7 @@ TEST(DeltaMaterialization, CancelMidDeltaApplyLeavesStateUntouched) {
   ASSERT_LE(trip_at, kMaxSweep);
 
   // The successful retry equals an uninterrupted run of the same history.
-  Engine oracle(reach_u->make_program(), n, DeltaOptions(1));
+  Engine oracle(reach_u->make_program(), n, DeltaOptions());
   for (size_t i = 0; i <= half; ++i) oracle.Apply(requests[i]);
   EXPECT_EQ(engine.data(), oracle.data());
 }

@@ -1,7 +1,7 @@
 /// Dense-backend equivalence: the packed-bitmap relation backend and the
 /// dense kernel fast path (DESIGN.md §13) must be observationally IDENTICAL
-/// to the hash reference — swept across every registered program scenario,
-/// multiple seeds, and thread counts, with the logical state compared after
+/// to the hash reference — swept across every registered program scenario
+/// and multiple seeds, with the logical state compared after
 /// EVERY request. On top of the sweep: DenseSet unit properties, forced
 /// hash<->dense conversion churn mid-history, cancel-at-every-poll abort
 /// atomicity under dense options, and hostile-bytes fuzzing of dense
@@ -25,11 +25,10 @@
 namespace dynfo::dyn {
 namespace {
 
-EngineOptions DenseOptions(int num_threads = 1, bool force = false) {
+EngineOptions DenseOptions(bool force = false) {
   EngineOptions options;
   options.use_dense_relations = true;
   options.force_dense_backend = force;
-  options.num_threads = num_threads;
   return options;
 }
 
@@ -133,12 +132,11 @@ TEST(DenseCostModelTest, AutoBackendNeverSelectsDenseForArity3) {
 
 class DenseEquivalence : public ::testing::TestWithParam<size_t> {};
 
-void SweepScenario(const programs::ProgramScenario& scenario, int num_threads,
-                   uint64_t seed) {
+void SweepScenario(const programs::ProgramScenario& scenario, uint64_t seed) {
   const size_t n = scenario.default_universe;
   auto program = scenario.make_program();
   Engine hash(program, n);
-  Engine dense(program, n, DenseOptions(num_threads));
+  Engine dense(program, n, DenseOptions());
   if (scenario.post_init) {
     scenario.post_init(&hash);
     scenario.post_init(&dense);
@@ -158,7 +156,7 @@ void SweepScenario(const programs::ProgramScenario& scenario, int num_threads,
   }
   // The dense engine's snapshot (bitmap pages and all) round-trips into a
   // same-option engine byte-identically.
-  Engine revived(program, n, DenseOptions(num_threads));
+  Engine revived(program, n, DenseOptions());
   if (scenario.post_init) scenario.post_init(&revived);
   core::Status restored = revived.Restore(dense.Snapshot());
   ASSERT_TRUE(restored.ok()) << scenario.name << ": " << restored.ToString();
@@ -167,15 +165,8 @@ void SweepScenario(const programs::ProgramScenario& scenario, int num_threads,
 }
 
 TEST_P(DenseEquivalence, MatchesHashAfterEveryRequest) {
-  SweepScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/1,
-                /*seed=*/5);
-  SweepScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/1,
-                /*seed=*/9);
-}
-
-TEST_P(DenseEquivalence, MatchesHashAfterEveryRequestParallel) {
-  SweepScenario(programs::AllScenarios()[GetParam()], /*num_threads=*/4,
-                /*seed=*/5);
+  SweepScenario(programs::AllScenarios()[GetParam()], /*seed=*/5);
+  SweepScenario(programs::AllScenarios()[GetParam()], /*seed=*/9);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, DenseEquivalence,
@@ -193,7 +184,7 @@ TEST(DenseEquivalenceTest, ForcedDenseMatchesHashAndExercisesKernels) {
     const size_t n = scenario.default_universe;
     auto program = scenario.make_program();
     Engine hash(program, n);
-    Engine forced(program, n, DenseOptions(/*num_threads=*/1, /*force=*/true));
+    Engine forced(program, n, DenseOptions(/*force=*/true));
     if (scenario.post_init) {
       scenario.post_init(&hash);
       scenario.post_init(&forced);
@@ -230,7 +221,7 @@ TEST(DenseEquivalenceTest, BackendChurnMidHistoryPreservesState) {
       if (i == third) {
         // hash -> dense: restore the hash engine's snapshot into a forced-
         // dense engine (Restore stamps the new policy, converting).
-        Engine to_dense(program, n, DenseOptions(1, /*force=*/true));
+        Engine to_dense(program, n, DenseOptions(/*force=*/true));
         if (scenario.post_init) scenario.post_init(&to_dense);
         ASSERT_TRUE(to_dense.Restore(churner.Snapshot()).ok()) << scenario.name;
         churner = std::move(to_dense);
@@ -331,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, DenseCancelAtomicity,
 /// A dense-backed engine snapshot on a workload-evolved state.
 std::string DenseSnapshotSample(const programs::ProgramScenario& scenario) {
   Engine engine(scenario.make_program(), scenario.default_universe,
-                DenseOptions(1, /*force=*/true));
+                DenseOptions(/*force=*/true));
   if (scenario.post_init) scenario.post_init(&engine);
   for (const relational::Request& request :
        scenario.make_workload(scenario.default_universe, 31)) {
@@ -346,7 +337,7 @@ TEST(DenseSnapshotFuzzTest, EverySingleByteCorruptionIsRejected) {
   ASSERT_NE(clean.find("dense "), std::string::npos)
       << "sample snapshot contains no dense pages; fuzz target is wrong";
   Engine victim(scenario.make_program(), scenario.default_universe,
-                DenseOptions(1, /*force=*/true));
+                DenseOptions(/*force=*/true));
   if (scenario.post_init) scenario.post_init(&victim);
   const std::string pristine = victim.Snapshot();
   for (size_t i = 0; i < clean.size(); ++i) {
@@ -372,7 +363,7 @@ TEST(DenseSnapshotFuzzTest, RawDensePagesNeverCrashAndRoundTrip) {
   // pages with RLE zero runs.
   const programs::ProgramScenario& scenario = programs::AllScenarios()[0];
   Engine engine(scenario.make_program(), scenario.default_universe,
-                DenseOptions(1, /*force=*/true));
+                DenseOptions(/*force=*/true));
   if (scenario.post_init) scenario.post_init(&engine);
   for (const relational::Request& request :
        scenario.make_workload(scenario.default_universe, 37)) {
@@ -421,7 +412,7 @@ TEST(DenseEquivalenceTest, SnapshotDeltaCarriesBackendFlips) {
   const programs::ProgramScenario& scenario = programs::AllScenarios()[0];
   const size_t n = scenario.default_universe;
   auto program = scenario.make_program();
-  Engine engine(program, n, DenseOptions(1, /*force=*/true));
+  Engine engine(program, n, DenseOptions(/*force=*/true));
   if (scenario.post_init) scenario.post_init(&engine);
   const relational::RequestSequence requests = scenario.make_workload(n, 41);
   const size_t half = requests.size() / 2;
@@ -433,7 +424,7 @@ TEST(DenseEquivalenceTest, SnapshotDeltaCarriesBackendFlips) {
   for (size_t i = half; i < requests.size(); ++i) engine.Apply(requests[i]);
   const std::string delta = engine.SnapshotDelta(base, base_steps);
 
-  Engine revived(program, n, DenseOptions(1, /*force=*/true));
+  Engine revived(program, n, DenseOptions(/*force=*/true));
   if (scenario.post_init) scenario.post_init(&revived);
   ASSERT_TRUE(revived.Restore(base_snapshot).ok());
   core::Status applied = revived.RestoreDelta(delta);

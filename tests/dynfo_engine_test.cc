@@ -189,6 +189,12 @@ TEST(EngineTest, StatsCountRequests) {
   EXPECT_EQ(engine.stats().requests, 2u);
 }
 
+TEST(EngineDeathTest, RejectsMoreThanOneThreadAtConstruction) {
+  EngineOptions options;
+  options.num_threads = 4;
+  EXPECT_DEATH(Engine(MakeOutDegreeProgram(), 4, options), "num_threads is fixed at 1");
+}
+
 TEST(EngineTest, QueryRelationNamedQueries) {
   auto data = std::make_shared<Vocabulary>();
   data->AddRelation("E", 2);

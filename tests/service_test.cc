@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dynfo/loader.h"
 #include "dynfo/service.h"
 #include "dynfo/wire.h"
 #include "programs/parity.h"
@@ -447,6 +449,9 @@ TEST_F(ServiceServerTest, MapsErrorsToTheExitCodeTaxonomy) {
   status = client.Call("batch\nins E 0 1", &response);  // unclosed block
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(response.code, 2);
+  status = client.Call("ins E 1 2 3 4 5", &response);  // wider than any tuple
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(response.code, 2);
   // Engine-level rejections are code 1 (error): validation catches an
   // out-of-universe element and an arity mismatch at Apply time.
   status = client.Call("ins E 0 99", &response);
@@ -458,6 +463,27 @@ TEST_F(ServiceServerTest, MapsErrorsToTheExitCodeTaxonomy) {
   // The connection is still usable afterwards.
   ASSERT_TRUE(client.Call("ping", &response).ok());
   EXPECT_EQ(client.counters().reconnects, 0u);
+}
+
+TEST_F(ServiceServerTest, JoinsFinishedConnectionThreads) {
+  constexpr uint64_t kConnections = 64;
+  wire::Response response;
+  for (uint64_t i = 0; i < kConnections; ++i) {
+    wire::Client client(server_->address());
+    ASSERT_TRUE(client.Call("ping", &response).ok());
+  }
+  // A connection marks its thread finished before it closes its session.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service_->stats().sessions_closed < kConnections &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service_->stats().sessions_closed, kConnections);
+  // The next accept joins every finished thread; only the live one stays.
+  wire::Client client(server_->address());
+  ASSERT_TRUE(client.Call("ping", &response).ok());
+  EXPECT_EQ(server_->connections_accepted(), kConnections + 1);
+  EXPECT_EQ(server_->connection_threads(), 1u);
 }
 
 TEST_F(ServiceServerTest, HardCloseReconnectsTransparently) {
@@ -530,6 +556,47 @@ TEST_F(ServiceServerTest, DispatchAnswersEvalAndShow) {
   const std::string open_formula =
       server_->Dispatch(session.value(), "eval E(x, y)");
   EXPECT_EQ(open_formula.rfind("2 ", 0), 0u) << open_formula;
+}
+
+TEST(ServiceDispatchTest, ReadsMissingTheirParametersAreUsageErrors) {
+  core::Result<std::shared_ptr<const dyn::DynProgram>> program =
+      dyn::LoadProgramFromText(
+          "program params\n"
+          "input {\n  relation E/2\n}\n"
+          "data {\n  relation E/2\n}\n"
+          "query := E($0, $1)\n"
+          "query adj(y) := E($0, y)\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EngineService service(program.value(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const EngineService::SessionId session = MustOpen(&service);
+  ASSERT_EQ(server.Dispatch(session, "ins E 1 2"), wire::EncodeResponse(0, "ok"));
+
+  // Too few elements for the parameters the read uses, or an element
+  // outside the universe: code 2, not an abort.
+  for (const char* read : {"query", "query 1", "query 100 2", "show adj",
+                           "eval E($0, 2)"}) {
+    const std::string response = server.Dispatch(session, read);
+    EXPECT_EQ(response.rfind("2 ", 0), 0u) << read << " -> " << response;
+  }
+  EXPECT_EQ(server.Dispatch(session, "query 1 2").rfind("0 true", 0), 0u);
+  const std::string adj = server.Dispatch(session, "show adj 1");
+  EXPECT_EQ(adj.rfind("0 ", 0), 0u) << adj;
+  EXPECT_NE(adj.find("(2)"), std::string::npos) << adj;
+}
+
+TEST(ServiceDispatchTest, QueryWithoutABooleanQueryIsAUsageError) {
+  core::Result<std::shared_ptr<const dyn::DynProgram>> program =
+      dyn::LoadProgramFromText(
+          "program named_only\n"
+          "input {\n  relation E/2\n}\n"
+          "data {\n  relation E/2\n}\n"
+          "query adj(y) := E($0, y)\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EngineService service(program.value(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const std::string response = server.Dispatch(MustOpen(&service), "query");
+  EXPECT_EQ(response.rfind("2 ", 0), 0u) << response;
 }
 
 }  // namespace

@@ -26,7 +26,7 @@
 ///                      records per segment (= checkpoint interval and the
 ///                      recovery replay bound) for --durable-dir; default 64
 ///   --deadline-ms=N    per-request wall-clock budget; a request that blows
-///                      it is abandoned at the next chunk boundary with the
+///                      it is abandoned at the next governor poll with the
 ///                      engine left untouched
 ///   --max-memory-mb=N  per-request budget for materialized intermediates;
 ///                      a breach aborts the request instead of OOM-ing
@@ -55,8 +55,9 @@
 ///                                    command, nested batch, EOF before end)
 ///                                    applies nothing and exits 2 in script
 ///                                    mode
-///   query                            evaluate the boolean query
+///   query [params...]                evaluate the boolean query
 ///   show <name> [params...]          print a named query / data relation
+///                                    (params bind the query's $0, $1, ...)
 ///   eval <formula>                   evaluate an ad-hoc FO sentence
 ///   stats                            engine counters
 ///   dump                             the whole data structure
@@ -116,6 +117,18 @@ bool ParseElements(const std::vector<std::string>& words, size_t start,
     return false;
   }
   return true;
+}
+
+/// The same check the server makes before a read (wire::CheckReadArguments);
+/// prints the reason and returns false when the read cannot be evaluated.
+bool CheckReadArguments(const dynfo::fo::FormulaPtr& formula,
+                        const std::vector<Element>& params, const Engine& engine) {
+  std::string error;
+  if (wire::CheckReadArguments(formula, params, engine.universe_size(), &error)) {
+    return true;
+  }
+  std::printf("error: %s\n", error.c_str());
+  return false;
 }
 
 /// Parses one mutation command (`ins`, `del`, or `set`) into a Request via
@@ -299,13 +312,19 @@ int Run(Session* session, std::istream& in, bool interactive) {
         }
       }
     } else if (command == "query") {
-      std::printf("%s\n", engine->QueryBool() ? "true" : "false");
+      std::vector<Element> params;
+      if (ParseElements(words, 1, &params) &&
+          CheckReadArguments(engine->program().bool_query(), params, *engine)) {
+        std::printf("%s\n", engine->QueryBool(params) ? "true" : "false");
+      }
     } else if (command == "show") {
       if (words.size() < 2) {
         std::printf("error: show needs a name\n");
-      } else if (engine->program().FindNamedQuery(words[1]) != nullptr) {
+      } else if (const dynfo::dyn::NamedQuery* query =
+                     engine->program().FindNamedQuery(words[1])) {
         std::vector<Element> params;
-        if (ParseElements(words, 2, &params)) {
+        if (ParseElements(words, 2, &params) &&
+            CheckReadArguments(query->formula, params, *engine)) {
           std::printf("%s = %s\n", words[1].c_str(),
                       engine->QueryRelation(words[1], params).ToString().c_str());
         }
@@ -322,7 +341,7 @@ int Run(Session* session, std::istream& in, bool interactive) {
         std::printf("error: %s\n", parsed.status().message().c_str());
       } else if (!parsed.value()->FreeVariables().empty()) {
         std::printf("error: eval needs a sentence (no free variables)\n");
-      } else {
+      } else if (CheckReadArguments(parsed.value(), {}, *engine)) {
         std::printf("%s\n", engine->QuerySentence(parsed.value()) ? "true" : "false");
       }
     } else if (command == "stats") {
