@@ -18,8 +18,10 @@
 ///   * apply_p50_us / apply_p99_us   — governed Apply latency percentiles;
 ///   * tier0..tier3_rate             — degradation-ladder activation rates
 ///                                     per governed request (tier0 is the
-///                                     configured fast path; tier3 is the
-///                                     start-over rung);
+///                                     engine as configured; tier1, the
+///                                     retired index-off rung, is always 0;
+///                                     tier2 is the naive reference; tier3
+///                                     is the start-over rung);
 ///   * deadline_trips / budget_trips — typed failures observed and survived;
 ///   * governance_overhead           — inactive-governance TryApply time
 ///                                     over legacy Apply time on the same

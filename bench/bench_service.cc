@@ -34,7 +34,10 @@
 ///   * oracle_identical          — post-soak bit-identity (gate 1.0);
 ///   * admission_rejections / admission_timeouts — typed write refusals;
 ///   * reads_served_per_snapshot — read amortization per published version;
-///   * shed_tier0..2_rate        — read-tier distribution under load;
+///   * shed_tier0..2_rate        — read-tier distribution under load
+///                                 (ExecTier slots: compiled+indexed, the
+///                                 retired compiled tier — always 0 —, and
+///                                 naive);
 ///   * reconnects                — client-churn kill/re-dial cycles.
 ///
 /// BM_SnapshotViewO1 pins the tentpole's O(1) claim: the time to take a
@@ -113,7 +116,6 @@ dyn::ServiceOptions SoakOptions() {
   options.engine.check_every = 0;
   options.engine.governance.governance = GenerousGovernance();
   options.admission_queue_limit = 4;  // small bound: shedding must engage
-  options.shed_compiled_at = 0.25;
   options.shed_naive_at = 0.75;
   options.record_applied_history = true;
   return options;

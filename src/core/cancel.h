@@ -48,18 +48,30 @@ class Deadline {
  public:
   Deadline() = default;
 
-  /// Expires `duration` from now. Non-positive durations are already
+  /// Expires `millis` from now. Non-positive durations are already
   /// expired — useful for tests pinning the timeout path deterministically.
+  /// A duration that reaches past the end of the clock's range never
+  /// expires (adding it to now() would overflow).
   static Deadline AfterMillis(int64_t millis) {
+    using std::chrono::milliseconds;
+    using std::chrono::steady_clock;
+    const steady_clock::time_point now = steady_clock::now();
     Deadline d;
+    if (millis >= std::chrono::duration_cast<milliseconds>(
+                      steady_clock::time_point::max() - now).count()) {
+      return d;
+    }
     d.has_deadline_ = true;
-    d.when_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(millis);
+    d.when_ = now + milliseconds(millis > 0 ? millis : 0);
     return d;
   }
 
   static Deadline Infinite() { return Deadline(); }
 
   bool is_infinite() const { return !has_deadline_; }
+
+  /// The expiry instant; meaningless when is_infinite().
+  std::chrono::steady_clock::time_point when() const { return when_; }
 
   bool expired() const {
     return has_deadline_ && std::chrono::steady_clock::now() >= when_;

@@ -63,7 +63,7 @@ Engine::Engine(std::shared_ptr<const DynProgram> program, size_t universe_size,
   // order, each seeing the results of the previous ones.
   for (const UpdateRule& rule : program_->init_rules()) {
     fo::EvalContext ctx(data_, {}, eval_options());
-    data_.relation(rule.target) = EvalRuleFull(rule, ctx, options_.eval_mode);
+    data_.relation(rule.target) = Evaluate(rule.formula, rule.tuple_variables, ctx);
   }
   backend_conversions_ += data_.ConfigureBackends(backend_policy());
   PrecompileProgram();
@@ -158,53 +158,30 @@ void Engine::PrecompileProgram() {
     fo::PlanPtr plan = algebra_.Precompile(formula, ctx);
     if (options_.use_indexes) fo::RegisterPlanIndexes(*plan, data_);
   };
-  // Mirrors TryApply's path selection exactly so the hot path runs zero
-  // planner invocations in every gate configuration: the semi-naive paths
-  // need persistent indexes, so with use_indexes off Apply takes the legacy
-  // delta (or full) path and needs those formulas compiled instead.
+  // Compile exactly what each rule's path evaluates, so the hot path runs
+  // zero planner invocations in every gate configuration. A semi-naive rule
+  // never evaluates its full formula (which stays lazily compilable for
+  // naive-pinned fallbacks).
+  auto precompile_rule = [&](const UpdateRule& rule, bool is_let) {
+    const DeltaPlan& plan = PlanFor(rule, is_let);
+    if (plan.path == RulePath::kFull) {
+      precompile(rule.formula);
+      return;
+    }
+    // The diff path evaluates the keep-filter set-wise unless it is trivial
+    // or quantifier-free (checked tuple by tuple).
+    if (plan.path == RulePath::kDiff && plan.keep->kind() != fo::FormulaKind::kTrue &&
+        !IsQuantifierFree(*plan.keep)) {
+      precompile(plan.keep);
+    }
+    if (plan.additions->kind() != fo::FormulaKind::kFalse) precompile(plan.additions);
+    if (plan.path == RulePath::kSemiNaive) {
+      fo::RegisterDeltaProgramIndexes(*plan.removals, data_);
+    }
+  };
   for (const auto& [key, rules] : program_->rules()) {
-    for (const UpdateRule& rule : rules.lets) {
-      const DeltaPlan& plan = PlanFor(rule);
-      const bool bounded = plan.applicable && plan.removals != nullptr &&
-                           plan.removals->bounded;
-      if (options_.use_delta && options_.use_indexes && bounded) {
-        // Semi-naive let: Apply evaluates the removal program and the
-        // additions, never the full formula (which stays lazily compilable
-        // for tier-override fallbacks).
-        if (plan.additions->kind() != fo::FormulaKind::kFalse) {
-          precompile(plan.additions);
-        }
-        fo::RegisterDeltaProgramIndexes(*plan.removals, data_);
-      } else {
-        precompile(rule.formula);
-      }
-    }
-    for (const UpdateRule& rule : rules.updates) {
-      const DeltaPlan& plan = PlanFor(rule);
-      const bool bounded = plan.removals != nullptr && plan.removals->bounded;
-      const bool semi = options_.use_delta && options_.use_indexes &&
-                        plan.applicable && bounded;
-      if (options_.use_delta && plan.applicable &&
-          (semi || plan.base == rule.target)) {
-        // Delta path: the keep-filter when it is evaluated set-wise (the
-        // legacy removal scan; the semi-naive program replaces it), and the
-        // additions unless trivially empty.
-        if (!semi && plan.keep->kind() != fo::FormulaKind::kTrue &&
-            !IsQuantifierFree(*plan.keep)) {
-          precompile(plan.keep);
-        }
-        if (plan.additions->kind() != fo::FormulaKind::kFalse) {
-          precompile(plan.additions);
-        }
-        if (semi) {
-          fo::RegisterDeltaProgramIndexes(*plan.removals, data_);
-        }
-      } else {
-        // Full rematerialization: not decomposable, delta off, or a chained
-        // base without an active semi-naive removal program.
-        precompile(rule.formula);
-      }
-    }
+    for (const UpdateRule& rule : rules.lets) precompile_rule(rule, /*is_let=*/true);
+    for (const UpdateRule& rule : rules.updates) precompile_rule(rule, /*is_let=*/false);
   }
   if (program_->bool_query() != nullptr) precompile(program_->bool_query());
 }
@@ -228,17 +205,16 @@ core::Status Engine::ReloadProgram(std::shared_ptr<const DynProgram> program) {
   return core::Status();
 }
 
-relational::Relation Engine::EvalRuleFull(const UpdateRule& rule,
-                                          const fo::EvalContext& ctx,
-                                          EvalMode mode) const {
-  if (mode == EvalMode::kNaive) {
-    return fo::NaiveEvaluator::EvaluateAsRelation(rule.formula, rule.tuple_variables,
-                                                  ctx);
+relational::Relation Engine::Evaluate(const fo::FormulaPtr& formula,
+                                      const std::vector<std::string>& variables,
+                                      const fo::EvalContext& ctx, bool naive) const {
+  if (naive || options_.eval_mode == EvalMode::kNaive) {
+    return fo::NaiveEvaluator::EvaluateAsRelation(formula, variables, ctx);
   }
-  return algebra_.EvaluateAsRelation(rule.formula, rule.tuple_variables, ctx);
+  return algebra_.EvaluateAsRelation(formula, variables, ctx);
 }
 
-const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule) {
+const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule, bool is_let) {
   auto it = plans_.find(&rule);
   if (it != plans_.end()) return it->second;
 
@@ -279,12 +255,11 @@ const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule) {
   decompose(/*target_only=*/true);
   if (!plan.applicable) decompose(/*target_only=*/false);
 
-  // Compile the semi-naive removal program while we are here, under the same
-  // gates the hot path checks, so Apply never plans.
+  // Compile the semi-naive removal program while we are here, so Apply
+  // never plans.
   const bool trivial_keep =
       plan.applicable && plan.keep->kind() == fo::FormulaKind::kTrue;
-  if (plan.applicable && options_.eval_mode == EvalMode::kAlgebra &&
-      options_.use_delta && options_.use_compiled_plans &&
+  if (plan.applicable && delta_configured() && options_.use_compiled_plans &&
       // Duplicate tuple variables make position→column mapping ambiguous
       // for a removal plan (harmless when nothing is ever removed).
       (trivial_keep || !HasDuplicates(rule.tuple_variables))) {
@@ -297,6 +272,16 @@ const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule) {
         algebra_.CompileDeltaRemovals(
             not_keep, rule.tuple_variables, base_index,
             static_cast<int>(rule.tuple_variables.size()), ctx));
+  }
+  // The path. Semi-naive needs a bounded removal program and persistent
+  // indexes to probe; without it an update whose base is its own target
+  // still applies as a diff. Everything else (not decomposable, delta off,
+  // a chained base or a let without the removal program) runs in full.
+  if (plan.removals != nullptr && plan.removals->bounded && options_.use_indexes) {
+    plan.path = RulePath::kSemiNaive;
+  } else if (!is_let && plan.applicable && delta_configured() &&
+             plan.base == rule.target) {
+    plan.path = RulePath::kDiff;
   }
   return plans_.emplace(&rule, std::move(plan)).first->second;
 }
@@ -418,14 +403,6 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
   return DenseApplyOutcome::kApplied;
 }
 
-ExecTier Engine::ConfiguredTier() const {
-  if (options_.eval_mode == EvalMode::kNaive) return ExecTier::kNaive;
-  if (options_.use_compiled_plans && options_.use_indexes) {
-    return ExecTier::kCompiledIndexed;
-  }
-  return ExecTier::kCompiled;
-}
-
 core::Status Engine::ValidateIndexes() const {
   for (int i = 0; i < data_.vocabulary().num_relations(); ++i) {
     core::Status status = data_.relation(i).ValidateIndexes();
@@ -454,15 +431,14 @@ void Engine::CheckTrustedRequest(const relational::Request& request) const {
 }
 
 core::Status Engine::TryApply(const relational::Request& request,
-                              const ApplyGovernance& governance,
-                              std::optional<ExecTier> tier, BatchReport* report) {
+                              const ApplyGovernance& governance, bool naive,
+                              BatchReport* report) {
   // Dense whole-request fast path, ungoverned form: checked before any
   // governance scaffolding or clocks — the kernels answer small-universe
   // requests in well under the cost of a steady_clock read. `report`
   // callers fall through (the batch path owns report bookkeeping), as do
-  // tier-pinned requests (the ladder's tiers are the hash evaluators).
-  if (!governance.active() && report == nullptr && !tier.has_value() &&
-      !dense_rules_.empty()) {
+  // naive-pinned requests.
+  if (!governance.active() && report == nullptr && !naive && !dense_rules_.empty()) {
     CheckTrustedRequest(request);
     switch (TryDenseApply(request, nullptr)) {
       case DenseApplyOutcome::kApplied:
@@ -474,7 +450,7 @@ core::Status Engine::TryApply(const relational::Request& request,
     }
   }
   return ApplyRequests(std::span<const relational::Request>(&request, 1), governance,
-                       tier, report);
+                       naive, report);
 }
 
 void Engine::ApplyBatch(std::span<const relational::Request> requests) {
@@ -486,7 +462,7 @@ core::Status Engine::TryApplyBatch(std::span<const relational::Request> requests
                                    const ApplyGovernance& governance,
                                    BatchReport* report) {
   BatchReport local;
-  core::Status status = ApplyRequests(requests, governance, std::nullopt, &local);
+  core::Status status = ApplyRequests(requests, governance, /*naive=*/false, &local);
   if (local.applied > 0) {
     ++stats_.batches;
     stats_.batch_requests += local.applied;
@@ -496,8 +472,8 @@ core::Status Engine::TryApplyBatch(std::span<const relational::Request> requests
 }
 
 core::Status Engine::ApplyRequests(std::span<const relational::Request> requests,
-                                   const ApplyGovernance& governance,
-                                   std::optional<ExecTier> tier, BatchReport* report) {
+                                   const ApplyGovernance& governance, bool naive,
+                                   BatchReport* report) {
   // One governor for the whole sequence: the deadline, cancellation token,
   // and resource budget cover every request in it, and the setup cost — the
   // per-request constant a batch amortizes — is paid once. An inactive
@@ -508,10 +484,7 @@ core::Status Engine::ApplyRequests(std::span<const relational::Request> requests
   if (governance.fail_alloc_after_charges != 0) {
     budget.FailAfterCharges(governance.fail_alloc_after_charges);
   }
-  core::ExecGovernor governor_storage(
-      governance.deadline_ms == 0 ? core::Deadline::Infinite()
-                                  : core::Deadline::AfterMillis(governance.deadline_ms),
-      governance.cancel, &budget);
+  core::ExecGovernor governor_storage(governance.deadline(), governance.cancel, &budget);
   if (governance.trip_after_checks != 0) {
     governor_storage.TripAtCheck(governance.trip_after_checks);
   }
@@ -552,7 +525,7 @@ core::Status Engine::ApplyRequests(std::span<const relational::Request> requests
   // request stays individually atomic (evaluate-then-commit), so a governor
   // stop leaves the engine at the last fully-applied prefix.
   for (const relational::Request& request : requests) {
-    core::Status status = ApplyCore(request, governor, tier);
+    core::Status status = ApplyCore(request, governor, naive);
     if (!status.ok()) return finish(status);
     ++applied;
   }
@@ -575,11 +548,7 @@ relational::RequestSequence Engine::MaterializeDefinableChange(
   // configured evaluator compiles the formula through the plan cache (and
   // probes persistent indexes) exactly as the per-request hot path does.
   fo::EvalContext ctx(data_, {}, eval_options());
-  relational::Relation result =
-      options_.eval_mode == EvalMode::kNaive
-          ? fo::NaiveEvaluator::EvaluateAsRelation(change.formula,
-                                                   change.tuple_variables, ctx)
-          : algebra_.EvaluateAsRelation(change.formula, change.tuple_variables, ctx);
+  relational::Relation result = Evaluate(change.formula, change.tuple_variables, ctx);
 
   // Canonical order: sorted tuples, so the expansion — and therefore the
   // journal and every downstream state — is identical whichever evaluator
@@ -604,39 +573,13 @@ core::Status Engine::TryApplyDefinable(const DefinableChange& change,
 }
 
 core::Status Engine::ApplyCore(const relational::Request& request,
-                               const core::ExecGovernor* governor,
-                               std::optional<ExecTier> tier) {
+                               const core::ExecGovernor* governor, bool naive) {
   const bool governed = governor != nullptr;
-
-  // Tier override: pin this request's evaluation mode and plan/index gates,
-  // leaving the engine's configured options untouched.
-  EvalMode mode = options_.eval_mode;
-  fo::EvalOptions eopts = eval_options();
-  bool use_delta = options_.use_delta;
-  if (tier.has_value()) {
-    switch (*tier) {
-      case ExecTier::kCompiledIndexed:
-        mode = EvalMode::kAlgebra;
-        eopts.use_compiled_plans = true;
-        eopts.use_indexes = true;
-        break;
-      case ExecTier::kCompiled:
-        mode = EvalMode::kAlgebra;
-        eopts.use_compiled_plans = true;
-        eopts.use_indexes = false;
-        break;
-      case ExecTier::kNaive:
-      case ExecTier::kStartOver:  // the rebuild itself happens above us
-        mode = EvalMode::kNaive;
-        use_delta = false;
-        break;
-    }
-  }
 
   // Governed (or report-carrying, or batched) dense path: the same kernels
   // with the governor polled between ops and inside row loops. An abort
   // mutates nothing.
-  if (!tier.has_value() && !dense_rules_.empty()) {
+  if (!naive && !dense_rules_.empty()) {
     switch (TryDenseApply(request, governor)) {
       case DenseApplyOutcome::kApplied:
         return core::Status();
@@ -653,7 +596,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   } else {
     for (int i = 0; i < request.tuple.size(); ++i) params.push_back(request.tuple[i]);
   }
-  fo::EvalContext ctx(data_, params, eopts);
+  fo::EvalContext ctx(data_, params, eval_options());
   ctx.governor = governor;
 
   const RequestRules* rules = program_->RulesFor(request.kind, request.target);
@@ -687,10 +630,11 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   };
   std::map<std::string, LetProvenance> let_provenance;
 
-  const bool delta_configured = use_delta && mode == EvalMode::kAlgebra;
-  auto semi_naive = [&](const DeltaPlan& plan) {
-    return delta_configured && eopts.use_compiled_plans && eopts.use_indexes &&
-           plan.applicable && plan.removals != nullptr && plan.removals->bounded;
+  // Each rule runs on the path PlanFor chose, except that a naive-pinned
+  // request runs every rule in full (and so counts no fallbacks).
+  const bool count_fallbacks = !naive && delta_configured();
+  auto path_of = [naive](const DeltaPlan& plan) {
+    return naive ? RulePath::kFull : plan.path;
   };
 
   // Temporaries: evaluated in order, committed immediately so later rules in
@@ -709,9 +653,9 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   if (rules != nullptr) {
     for (const UpdateRule& rule : rules->lets) {
-      const DeltaPlan& plan = PlanFor(rule);
+      const DeltaPlan& plan = PlanFor(rule, /*is_let=*/true);
       relational::Relation result{0};
-      if (semi_naive(plan)) {
+      if (path_of(plan) == RulePath::kSemiNaive) {
         // Semi-naive: the let is base ± a small delta. Share the base's
         // storage (copy-on-write) and touch only the changed tuples.
         DeltaOps op;
@@ -736,10 +680,10 @@ core::Status Engine::ApplyCore(const relational::Request& request,
         prov.ops.push_back(std::move(op));
         let_provenance[rule.target] = std::move(prov);
       } else {
-        result = EvalRuleFull(rule, ctx, mode);
+        result = Evaluate(rule.formula, rule.tuple_variables, ctx, naive);
         ++lets_recomputed;
         lets_tuples_written += result.size();
-        if (delta_configured) ++lets_fallbacks;
+        if (count_fallbacks) ++lets_fallbacks;
       }
       if (governed && governor->stopped()) {
         return abort_with(governor->status());
@@ -757,9 +701,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   struct Staged {
     const UpdateRule* rule = nullptr;
     const DeltaPlan* plan = nullptr;
-    bool full = false;
-    bool fallback = false;  ///< delta was configured but this rule ran full
-    bool semi = false;      ///< removals came from the compiled delta program
+    RulePath path = RulePath::kFull;  ///< the path this request ran it on
     /// Commit strategy when the decomposition base is another relation:
     /// replace_with_delta swaps in a copy-on-write copy of base ± delta;
     /// in_place_compose replays the base let's op chain (plus this rule's own
@@ -777,11 +719,10 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   std::set<std::string> targeted;
   if (rules != nullptr) {
     for (const UpdateRule& rule : rules->updates) {
-      DYNFO_CHECK(targeted.insert(rule.target).second)
-          << "two update rules target " << rule.target << " in one request";
+      targeted.insert(rule.target);  // distinct: DynProgram::Validate
       Staged s;
       s.rule = &rule;
-      s.plan = &PlanFor(rule);
+      s.plan = &PlanFor(rule, /*is_let=*/false);
       staged.push_back(std::move(s));
     }
   }
@@ -789,23 +730,15 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   for (Staged& s : staged) {
     const UpdateRule& rule = *s.rule;
     const DeltaPlan& plan = *s.plan;
-    const bool delta = delta_configured && plan.applicable;
-    const bool semi = semi_naive(plan);
-    const bool base_is_target = plan.applicable && plan.base == rule.target;
-    // Full rematerialization: no decomposition, or the base is a different
-    // relation and the compiled removal program is unavailable (the chained
-    // paths below require it).
-    if (!delta || (!base_is_target && !semi)) {
-      s.full = true;
-      s.fallback = delta_configured;
-      s.replacement = EvalRuleFull(rule, ctx, mode);
+    s.path = path_of(plan);
+    if (s.path == RulePath::kFull) {
+      s.replacement = Evaluate(rule.formula, rule.tuple_variables, ctx, naive);
       continue;
     }
     // Removals: base tuples failing the keep-filter. With a bounded removal
     // program they come straight out of the compiled plan (O(delta)); the
-    // legacy scans below walk the whole stored relation.
-    if (semi) {
-      s.semi = true;
+    // diff path's scans below walk the whole stored relation.
+    if (s.path == RulePath::kSemiNaive) {
       s.removals = algebra_.DeltaRemovals(*plan.removals, ctx);
     } else if (plan.keep->kind() != fo::FormulaKind::kTrue) {
       const relational::Relation& old = data_.relation(rule.target);
@@ -840,10 +773,11 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     } else {
       s.additions = relational::Relation(static_cast<int>(rule.tuple_variables.size()));
     }
-    // Base is another relation: either the base is a let whose delta chain
-    // roots at this rule's target (replay in place at commit), or the new
-    // value is a copy-on-write copy of the base with this delta applied.
-    if (!base_is_target) {
+    // Base is another relation (semi-naive only): either the base is a let
+    // whose delta chain roots at this rule's target (replay in place at
+    // commit), or the new value is a copy-on-write copy of the base with
+    // this delta applied.
+    if (plan.base != rule.target) {
       auto prov = let_provenance.find(plan.base);
       if (prov != let_provenance.end() && prov->second.root == rule.target) {
         s.in_place_compose = true;
@@ -876,13 +810,13 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   stats_.delta_rules += lets_delta_rules;
   stats_.fallback_recomputes += lets_fallbacks;
   for (const Staged& s : staged) {
-    if (s.full) {
+    if (s.path == RulePath::kFull) {
       ++stats_.relations_recomputed;
       stats_.tuples_written += s.replacement.size();
-      if (s.fallback) ++stats_.fallback_recomputes;
+      if (count_fallbacks) ++stats_.fallback_recomputes;
     } else {
       ++stats_.delta_applications;
-      if (s.semi) ++stats_.delta_rules;
+      if (s.path == RulePath::kSemiNaive) ++stats_.delta_rules;
       // Replayed compose_ops were counted when their lets ran; charge only
       // this rule's own delta.
       const uint64_t delta_written =
@@ -902,7 +836,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   const auto commit_start = std::chrono::steady_clock::now();
   for (Staged& s : staged) {
     relational::Relation& target = data_.relation(s.rule->target);
-    if (s.full || s.replace_with_delta) {
+    if (s.path == RulePath::kFull || s.replace_with_delta) {
       target = std::move(s.replacement);
       continue;
     }
@@ -1139,11 +1073,7 @@ relational::Relation Engine::QueryRelation(const std::string& name,
   const NamedQuery* query = program_->FindNamedQuery(name);
   DYNFO_CHECK(query != nullptr) << program_->name() << " has no query named " << name;
   fo::EvalContext ctx(data_, std::move(params), eval_options());
-  if (options_.eval_mode == EvalMode::kNaive) {
-    return fo::NaiveEvaluator::EvaluateAsRelation(query->formula, query->tuple_variables,
-                                                  ctx);
-  }
-  return algebra_.EvaluateAsRelation(query->formula, query->tuple_variables, ctx);
+  return Evaluate(query->formula, query->tuple_variables, ctx);
 }
 
 }  // namespace dynfo::dyn

@@ -21,6 +21,12 @@
 ///     analogue of the paper's parallel O(1)-time update: only the changed
 ///     tuples are touched. See DESIGN.md §11.
 ///
+/// Each rule's path — full, a diff against its stored target, or
+/// semi-naive — is decided once per program under these options (PlanFor);
+/// load-time precompilation and every Apply read that one decision. The
+/// only per-request override is the degradation ladder's naive pin, which
+/// runs every rule in full through the reference evaluator.
+///
 /// One apply contract: a request is a batch of one. TryApply and
 /// TryApplyBatch run the same governor setup, acceptance sweep
 /// (DynProgram::ValidateRequest when governed), per-request core, and
@@ -33,7 +39,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,13 +58,14 @@ enum class EvalMode {
   kAlgebra,  ///< relational-algebra compilation (default)
 };
 
-/// The degradation ladder's execution tiers, fastest first. A governed
-/// Apply may be pinned to a tier (overriding the engine's configured
-/// options for that one request); the recovery layer descends the ladder
-/// when a tier fails (see dynfo/recovery.h and DESIGN.md §10).
+/// The degradation ladder's rungs, fastest first (dynfo/recovery.h,
+/// DESIGN.md §10); the first two are also the service's read tiers
+/// (dynfo/service.h). The values index RecoveryStats::tier_activations and
+/// ServiceStats::reads_tier. Value 1 belonged to the retired index-off
+/// "compiled" tier; it is kept unused so both arrays keep their layout, and
+/// slot 1 always reads 0.
 enum class ExecTier {
-  kCompiledIndexed = 0,  ///< compiled plans probing persistent indexes
-  kCompiled = 1,         ///< compiled plans, index probes disabled
+  kCompiledIndexed = 0,  ///< the engine as configured (reads: compiled+indexed)
   kNaive = 2,            ///< reference substitute-and-test evaluator
   kStartOver = 3,        ///< rebuild from the input structure, then retry
 };
@@ -68,8 +74,6 @@ inline const char* ExecTierName(ExecTier tier) {
   switch (tier) {
     case ExecTier::kCompiledIndexed:
       return "compiled+indexed";
-    case ExecTier::kCompiled:
-      return "compiled";
     case ExecTier::kNaive:
       return "naive";
     case ExecTier::kStartOver:
@@ -95,6 +99,12 @@ struct ApplyGovernance {
   uint64_t stall_at_check = 0;           ///< stall the k-th poll ...
   int stall_ms = 0;                      ///< ... for this many milliseconds
   uint64_t fail_alloc_after_charges = 0; ///< injected allocation failure
+
+  /// `deadline_ms` as a Deadline (0 = infinite).
+  core::Deadline deadline() const {
+    return deadline_ms == 0 ? core::Deadline::Infinite()
+                            : core::Deadline::AfterMillis(deadline_ms);
+  }
 
   bool active() const {
     return deadline_ms != 0 || cancel != nullptr || limits.active() ||
@@ -223,9 +233,10 @@ class Engine {
   /// malformed requests; trusted-caller form of TryApply with no governance.
   void Apply(const relational::Request& request);
 
-  /// Governed Apply: a batch of one (see TryApplyBatch), optionally pinned
-  /// to an execution `tier` that overrides the engine's configured
-  /// evaluator/plan/index options for this one request. On any non-OK
+  /// Governed Apply: a batch of one (see TryApplyBatch). `naive` pins this
+  /// one request to the naive reference evaluator, every rule rematerialized
+  /// in full, whatever the engine's configured options (the degradation
+  /// ladder's lower rungs). On any non-OK
   /// return — kCancelled, kDeadlineExceeded, kResourceExhausted, or kError
   /// for a request the program does not accept (DynProgram::ValidateRequest)
   /// — the engine state is bit-identical to the pre-call state
@@ -233,8 +244,7 @@ class Engine {
   /// the stats counters are untouched. An ungoverned, unpinned call without
   /// a report first tries the dense kernel fast path.
   core::Status TryApply(const relational::Request& request,
-                        const ApplyGovernance& governance = {},
-                        std::optional<ExecTier> tier = std::nullopt,
+                        const ApplyGovernance& governance = {}, bool naive = false,
                         BatchReport* report = nullptr);
 
   /// Applies a whole batch of requests as consecutive synchronous Dyn-FO
@@ -272,9 +282,6 @@ class Engine {
   core::Status TryApplyDefinable(const DefinableChange& change,
                                  const ApplyGovernance& governance = {},
                                  BatchReport* report = nullptr);
-
-  /// The tier this engine's configured options correspond to.
-  ExecTier ConfiguredTier() const;
 
   /// Cross-checks every relation's persistent indexes against its tuples;
   /// kCorruption with the first inconsistency found. O(total tuples).
@@ -381,6 +388,16 @@ class Engine {
   core::Status ReloadProgram(std::shared_ptr<const DynProgram> program);
 
  private:
+  /// How Apply runs a rule under this engine's options, decided once by
+  /// PlanFor. A naive-pinned request runs every rule kFull instead.
+  enum class RulePath {
+    kFull,       ///< rematerialize the whole formula
+    kDiff,       ///< update rules only: removals scan the stored target
+                 ///< against the keep-filter, plus the additions
+    kSemiNaive,  ///< removals from the bounded compiled delta program, plus
+                 ///< the additions; the base may be another relation
+  };
+
   /// How a rule decomposes as `(base(x-bar) ∧ keep) ∨ additions`; see file
   /// comment. `base` is the rule's own target when the formula is
   /// target-preserving (the classic shape), otherwise any data relation
@@ -392,9 +409,10 @@ class Engine {
     fo::FormulaPtr keep;       ///< old base tuple survives iff this holds (may be True)
     fo::FormulaPtr additions;  ///< tuples to add (may be False)
     /// Compiled semi-naive removal program for the keep-filter (fo/plan.h);
-    /// null until compiled, bounded only when delta-safe. Compiled lazily by
-    /// PlanFor under the kAlgebra + use_delta + use_compiled_plans gates.
+    /// null unless delta is configured with compiled plans, bounded only
+    /// when delta-safe.
     std::shared_ptr<const fo::DeltaProgram> removals;
+    RulePath path = RulePath::kFull;
   };
 
   /// One update rule lowered to a dense kernel program; part of a bundle.
@@ -437,31 +455,42 @@ class Engine {
     }
   };
 
-  relational::Relation EvalRuleFull(const UpdateRule& rule, const fo::EvalContext& ctx,
-                                    EvalMode mode) const;
-  const DeltaPlan& PlanFor(const UpdateRule& rule);
+  /// Evaluates `formula` as a relation over `variables` through the naive
+  /// reference when `naive` is set or the engine is configured naive, and
+  /// through the algebra evaluator otherwise.
+  relational::Relation Evaluate(const fo::FormulaPtr& formula,
+                                const std::vector<std::string>& variables,
+                                const fo::EvalContext& ctx, bool naive = false) const;
+
+  /// The memoized decomposition and path of `rule`, a let when `is_let`
+  /// (lets have no kDiff path): the one place a rule's path is decided.
+  const DeltaPlan& PlanFor(const UpdateRule& rule, bool is_let);
+
+  /// use_delta in kAlgebra mode: rules that run kFull count as fallbacks.
+  bool delta_configured() const {
+    return options_.eval_mode == EvalMode::kAlgebra && options_.use_delta;
+  }
 
   /// The apply contract shared by TryApply and TryApplyBatch: one governor
   /// setup for the whole sequence, the acceptance sweep (typed errors when
   /// governed, the trusted-caller CHECK otherwise), then ApplyCore per
   /// request until the first failure, and the report.
   core::Status ApplyRequests(std::span<const relational::Request> requests,
-                             const ApplyGovernance& governance,
-                             std::optional<ExecTier> tier, BatchReport* report);
+                             const ApplyGovernance& governance, bool naive,
+                             BatchReport* report);
 
   /// The ungoverned trusted-caller contract: no validation sweep, but a
   /// delete on a semi-dynamic program would leave its auxiliary state
   /// silently stale, so it CHECK-fails instead.
   void CheckTrustedRequest(const relational::Request& request) const;
 
-  /// The per-request core of ApplyRequests: tier resolution, the governed
-  /// dense path, lets, staged evaluation, the abort point, and the commit.
-  /// `governor` null = ungoverned; non-null = governed under the CALLER's
-  /// governor, which a batch shares across all of its requests (one
-  /// deadline/budget for the whole batch).
+  /// The per-request core of ApplyRequests: the governed dense path, lets,
+  /// staged evaluation, the abort point, and the commit. `governor` null =
+  /// ungoverned; non-null = governed under the CALLER's governor, which a
+  /// batch shares across all of its requests (one deadline/budget for the
+  /// whole batch). `naive` as in TryApply.
   core::Status ApplyCore(const relational::Request& request,
-                         const core::ExecGovernor* governor,
-                         std::optional<ExecTier> tier);
+                         const core::ExecGovernor* governor, bool naive);
 
   /// Lowers every request class's update rules to dense bundles (and the
   /// boolean query); no-op unless the dense gates are on.
@@ -481,10 +510,11 @@ class Engine {
   /// mutation, accumulating conversions into the engine's counter.
   void ReapplyBackend(int relation_index);
 
-  /// Compiles every formula the program can execute (delta keeps/additions,
-  /// full rules, lets, queries) and registers the plans' indexes on `data_`,
-  /// so the hot Apply path never plans and its first probe never builds.
-  /// No-op outside kAlgebra mode or with use_compiled_plans off.
+  /// Compiles every formula the program can execute on each rule's
+  /// PlanFor path (delta keeps/additions, full rules, lets, queries) and
+  /// registers the plans' indexes on `data_`, so the hot Apply path never
+  /// plans and its first probe never builds. No-op outside kAlgebra mode or
+  /// with use_compiled_plans off.
   void PrecompileProgram();
 
   /// Evaluation options derived from EngineOptions (the compiled-plan and

@@ -60,10 +60,22 @@ struct SymbolDeclarations {
 core::Status ParseDeclaration(SymbolDeclarations* out, const std::string& text,
                               size_t line) {
   auto [kind, rest] = SplitWord(text);
+  // Vocabulary::AddRelation/AddConstant CHECK-fail on an empty or taken
+  // name; a spec gets a line-numbered error instead.
+  auto check_name = [out, &text, line](const std::string& name) {
+    if (name.empty()) return Err(line, "missing symbol name in: " + text);
+    if (out->vocabulary->RelationIndex(name) >= 0 ||
+        out->vocabulary->ConstantIndex(name) >= 0) {
+      return Err(line, "duplicate symbol name: " + name);
+    }
+    return core::Status();
+  };
   if (kind == "relation") {
     size_t slash = rest.find('/');
     if (slash == std::string::npos) return Err(line, "expected relation Name/arity");
     std::string name = Strip(rest.substr(0, slash));
+    core::Status named = check_name(name);
+    if (!named.ok()) return named;
     int arity = 0;
     try {
       arity = std::stoi(rest.substr(slash + 1));
@@ -78,7 +90,8 @@ core::Status ParseDeclaration(SymbolDeclarations* out, const std::string& text,
   }
   if (kind == "constant") {
     std::string name = Strip(rest);
-    if (name.empty()) return Err(line, "constant needs a name");
+    core::Status named = check_name(name);
+    if (!named.ok()) return named;
     out->vocabulary->AddConstant(name);
     return core::Status();
   }
@@ -262,6 +275,11 @@ core::Result<std::shared_ptr<const DynProgram>> LoadProgramFromText(
       }
       core::Result<UpdateRule> rule = parse_rule(rest, line_number);
       if (!rule.ok()) return rule.status();
+      for (const auto& [name, query] : named_queries) {
+        if (name == rule.value().target) {
+          return Err(line_number, "duplicate named query " + name);
+        }
+      }
       named_queries.emplace_back(
           rule.value().target,
           NamedQuery{rule.value().tuple_variables, rule.value().formula});

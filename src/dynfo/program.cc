@@ -135,9 +135,28 @@ core::Status DynProgram::Validate() const {
       core::Status s = CheckRule(*data_, rule, max_parameters, context + " let");
       if (!s.ok()) return s;
     }
+    std::set<std::string> targets;
     for (const UpdateRule& rule : request_rules.updates) {
       core::Status s = CheckRule(*data_, rule, max_parameters, context);
       if (!s.ok()) return s;
+      // Updates commit simultaneously; two values for one relation conflict.
+      if (!targets.insert(rule.target).second) {
+        return core::Status::Error(context + ": two update rules target " +
+                                   rule.target);
+      }
+    }
+  }
+  // Each input change is mirrored into the same-named data relation (unless
+  // an update rule targets it), so the two must agree on arity.
+  for (int i = 0; i < input_->num_relations(); ++i) {
+    const relational::RelationSymbol& input = input_->relation(i);
+    const int mirror = data_->RelationIndex(input.name);
+    if (mirror >= 0 && data_->relation(mirror).arity != input.arity) {
+      return core::Status::Error(
+          name_ + ": data relation " + input.name + " has arity " +
+          std::to_string(data_->relation(mirror).arity) +
+          " but the input relation it mirrors has arity " +
+          std::to_string(input.arity));
     }
   }
   if (bool_query_ != nullptr) {

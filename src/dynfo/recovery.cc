@@ -197,8 +197,7 @@ core::Status GuardedEngine::ApplyDefinable(const DefinableChange& change,
 
 core::Status GuardedEngine::GovernedApply(const relational::Request& request) {
   const GovernancePolicy& policy = options_.governance;
-  ExecTier tier = engine_->ConfiguredTier();
-  int attempts = 0;
+  ExecTier tier = ExecTier::kCompiledIndexed;  // rung 0: the engine as configured
   bool repaired = false;
   core::Status last;
   while (true) {
@@ -211,13 +210,14 @@ core::Status GuardedEngine::GovernedApply(const relational::Request& request) {
           Recover("degradation ladder exhausted: " + last.ToString());
       if (!rebuilt.ok()) return rebuilt;
       ++stats_.start_over_applies;
-      return engine_->TryApply(request, ApplyGovernance{}, ExecTier::kNaive);
+      return engine_->TryApply(request, ApplyGovernance{}, /*naive=*/true);
     }
 
     core::Status status =
         policy.inject_for_test ? policy.inject_for_test(tier) : core::Status();
     if (status.ok()) {
-      status = engine_->TryApply(request, policy.governance, tier);
+      status = engine_->TryApply(request, policy.governance,
+                                 /*naive=*/tier == ExecTier::kNaive);
     }
     if (status.ok()) return status;
     last = status;
@@ -236,7 +236,7 @@ core::Status GuardedEngine::GovernedApply(const relational::Request& request) {
       case core::StatusCode::kCorruption:
         if (!repaired) {
           // Derived state (indexes, plans) is suspect but the tuples are
-          // not: rebuild in place and retry the same tier once.
+          // not: rebuild in place and retry the same rung once.
           engine_->RebuildCompiledState();
           ++stats_.index_rebuilds;
           repaired = true;
@@ -247,22 +247,8 @@ core::Status GuardedEngine::GovernedApply(const relational::Request& request) {
         break;
     }
 
-    if (!policy.enable_ladder) return status;
-    if (++attempts < policy.attempts_per_tier) continue;
-    attempts = 0;
     ++stats_.ladder_fallbacks;
-    switch (tier) {
-      case ExecTier::kCompiledIndexed:
-        tier = ExecTier::kCompiled;
-        break;
-      case ExecTier::kCompiled:
-        tier = ExecTier::kNaive;
-        break;
-      case ExecTier::kNaive:
-      case ExecTier::kStartOver:
-        tier = ExecTier::kStartOver;
-        break;
-    }
+    tier = tier == ExecTier::kCompiledIndexed ? ExecTier::kNaive : ExecTier::kStartOver;
   }
 }
 

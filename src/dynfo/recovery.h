@@ -18,6 +18,9 @@
 ///     post-init, and a replay of the input as its canonical request
 ///     history. If the rebuilt state still fails the checks, the defect is
 ///     in the program, not the state, and an error Status is returned;
+///   * under governance, a request that fails as configured descends the
+///     degradation ladder: the naive reference, then that same start-over
+///     rebuild (GovernancePolicy);
 ///   * optionally every applied request goes to a durable store (journal.h,
 ///     AttachDurability), making the whole session reconstructible after a
 ///     kill from the latest checkpoint plus at most one journal segment.
@@ -43,21 +46,19 @@ namespace dynfo::dyn {
 
 /// Resource governance + degradation policy for every Apply through the
 /// wrapper. Inactive (default) = the legacy ungoverned path. Active = each
-/// request runs under `governance` at the engine's configured tier, and on
+/// request runs under `governance` with the engine as configured, and on
 /// failure descends the ladder (DESIGN.md §10):
 ///
-///   compiled+indexed → compiled → naive → start-over
+///   configured → naive → start-over
 ///
-/// kCancelled / kDeadlineExceeded return immediately (a slower tier cannot
+/// kCancelled / kDeadlineExceeded return immediately (a slower rung cannot
 /// help a caller who stopped waiting). kCorruption triggers one in-place
-/// RebuildCompiledState + same-tier retry before descending. Everything
-/// else descends after `attempts_per_tier` attempts. The final rung
-/// rebuilds from the input structure and applies ungoverned at the naive
-/// tier — the "start over and muddle through" move.
+/// RebuildCompiledState + same-rung retry before descending. Everything
+/// else descends at once. The naive rung pins the request to the reference
+/// evaluator; the final rung rebuilds from the input structure and applies
+/// ungoverned there — the "start over and muddle through" move.
 struct GovernancePolicy {
   ApplyGovernance governance;
-  bool enable_ladder = true;
-  int attempts_per_tier = 1;
   /// Test hook: when set, each tier attempt first consults this; a non-OK
   /// return stands in for the engine call (pins ladder paths
   /// deterministically). OK = run the engine for real.
@@ -108,8 +109,8 @@ struct RecoveryStats {
   uint64_t replayed_on_recovery = 0;
 
   // Governed-execution counters (all zero when governance is inactive).
-  uint64_t tier_activations[4] = {0, 0, 0, 0};  ///< attempts per ExecTier
-  uint64_t ladder_fallbacks = 0;     ///< tier descents
+  uint64_t tier_activations[4] = {0, 0, 0, 0};  ///< attempts per ExecTier (slot 1 unused)
+  uint64_t ladder_fallbacks = 0;     ///< rung descents
   uint64_t cancellations = 0;        ///< requests ending kCancelled
   uint64_t deadlines_exceeded = 0;   ///< requests ending kDeadlineExceeded
   uint64_t budget_breaches = 0;      ///< kResourceExhausted trips observed

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -16,43 +15,14 @@
 
 namespace dynfo::dyn {
 
-namespace {
-
 using relational::Element;
 using relational::Request;
 
-/// Read-path evaluation options for a tier: the ladder's first three rungs
-/// expressed as plan/index gates. Each read runs on its session's thread —
-/// the service gets its parallelism from concurrent sessions.
-fo::EvalOptions ReadOptionsFor(ExecTier tier) {
-  fo::EvalOptions options;
-  switch (tier) {
-    case ExecTier::kCompiledIndexed:
-      options.use_compiled_plans = true;
-      options.use_indexes = true;
-      break;
-    case ExecTier::kCompiled:
-      options.use_compiled_plans = true;
-      options.use_indexes = false;
-      break;
-    default:
-      options.use_compiled_plans = false;
-      options.use_indexes = false;
-      break;
-  }
-  return options;
-}
-
-}  // namespace
-
-ExecTier ChooseReadTier(size_t waiting, size_t queue_limit,
-                        double shed_compiled_at, double shed_naive_at) {
+ExecTier ChooseReadTier(size_t waiting, size_t queue_limit, double shed_naive_at) {
   if (queue_limit == 0 || waiting == 0) return ExecTier::kCompiledIndexed;
   const double load =
       static_cast<double>(waiting) / static_cast<double>(queue_limit);
-  if (load >= shed_naive_at) return ExecTier::kNaive;
-  if (load >= shed_compiled_at) return ExecTier::kCompiled;
-  return ExecTier::kCompiledIndexed;
+  return load >= shed_naive_at ? ExecTier::kNaive : ExecTier::kCompiledIndexed;
 }
 
 EngineService::EngineService(std::shared_ptr<const DynProgram> program,
@@ -117,19 +87,10 @@ core::Status EngineService::AdmitWriter(const ApplyGovernance& governance) {
         "admission queue full: " + std::to_string(waiting) +
         " writer(s) already waiting (limit " + std::to_string(limit) + ")");
   }
-  bool locked = false;
-  if (governance.deadline_ms > 0) {
-    // The session's deadline bounds the WAIT too: a writer that cannot even
-    // start before its budget expires reports the timeout instead of
-    // arriving at the engine pre-expired.
-    locked = writer_mutex_.try_lock_for(
-        std::chrono::milliseconds(governance.deadline_ms));
-  } else if (governance.deadline_ms < 0) {
-    locked = writer_mutex_.try_lock();  // already-expired: at most a free try
-  } else {
-    writer_mutex_.lock();
-    locked = true;
-  }
+  // The session's deadline bounds the WAIT too: a writer that cannot even
+  // start before its budget expires reports the timeout instead of arriving
+  // at the engine pre-expired (an already-expired one gets a free try).
+  const bool locked = writer_mutex_.try_lock_until(governance.deadline());
   waiting_writers_.fetch_sub(1, std::memory_order_acq_rel);
   if (!locked) {
     admission_timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -285,10 +246,9 @@ std::string EngineService::Snapshot() {
 }
 
 EngineService::ReadPin EngineService::PinVersion() {
-  const ExecTier tier = ChooseReadTier(
-      waiting_writers_.load(std::memory_order_relaxed),
-      options_.admission_queue_limit, options_.shed_compiled_at,
-      options_.shed_naive_at);
+  const ExecTier tier =
+      ChooseReadTier(waiting_writers_.load(std::memory_order_relaxed),
+                     options_.admission_queue_limit, options_.shed_naive_at);
   std::shared_ptr<Version> version;
   {
     std::lock_guard<std::mutex> lock(versions_mutex_);
@@ -321,8 +281,7 @@ bool EngineService::QuerySentence(const ReadPin& pin,
                                   const fo::FormulaPtr& sentence,
                                   std::vector<Element> params) const {
   reads_served_.fetch_add(1, std::memory_order_relaxed);
-  fo::EvalContext ctx(pin.data(), std::move(params),
-                      ReadOptionsFor(pin.tier()));
+  fo::EvalContext ctx(pin.data(), std::move(params));
   if (pin.tier() == ExecTier::kNaive) {
     return fo::NaiveEvaluator::HoldsSentence(sentence, ctx);
   }
@@ -338,8 +297,7 @@ core::Result<relational::Relation> EngineService::QueryRelation(
                                name);
   }
   reads_served_.fetch_add(1, std::memory_order_relaxed);
-  fo::EvalContext ctx(pin.data(), std::move(params),
-                      ReadOptionsFor(pin.tier()));
+  fo::EvalContext ctx(pin.data(), std::move(params));
   if (pin.tier() == ExecTier::kNaive) {
     return fo::NaiveEvaluator::EvaluateAsRelation(
         query->formula, query->tuple_variables, ctx);
@@ -654,8 +612,10 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
 
   if (command == "deadline") {
     uint64_t millis = 0;
-    if (words.size() != 2 || !core::ParseU64(words[1], &millis)) {
-      return EncodeResponse(2, "usage: deadline <ms> (0 clears)");
+    // deadline_ms is signed: larger values would wrap to "already expired".
+    if (words.size() != 2 || !core::ParseU64(words[1], &millis) ||
+        millis > INT64_MAX) {
+      return EncodeResponse(2, "usage: deadline <ms> (0 clears, at most 2^63-1)");
     }
     ApplyGovernance governance =
         service_->options().engine.governance.governance;

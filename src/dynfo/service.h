@@ -22,22 +22,20 @@
 ///     kResourceExhausted (wire code 5, the client's retry signal) — and a
 ///     waiting writer gives up at its session deadline with
 ///     kDeadlineExceeded. Reads are never refused; under writer pressure
-///     they shed down the degradation ladder's read tiers
-///     (compiled+indexed → compiled → naive), trading latency for
-///     throughput before anything is turned away.
+///     they shed from the compiled+indexed read tier to the naive
+///     reference evaluator, which answers point probes without building
+///     the indexes each newly published version starts without.
 
 #ifndef DYNFO_DYNFO_SERVICE_H_
 #define DYNFO_DYNFO_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -49,16 +47,15 @@
 
 namespace dynfo::dyn {
 
-/// The read tiers are the update ladder's first three rungs; reads have no
-/// start-over (there is nothing to rebuild — they only look).
+/// Read tiers are ExecTier values below kStartOver (reads have nothing to
+/// rebuild — they only look): compiled+indexed or naive. Slot 1 of
+/// ServiceStats::reads_tier is the retired compiled tier's and reads 0.
 inline constexpr int kNumReadTiers = 3;
 
-/// Pure shed policy, unit-testable: which read tier a load factor of
-/// `waiting` writers against `queue_limit` admission slots buys.
-/// Thresholds are fractions of the queue bound; queue_limit == 0 disables
-/// shedding entirely.
-ExecTier ChooseReadTier(size_t waiting, size_t queue_limit,
-                        double shed_compiled_at, double shed_naive_at);
+/// Pure shed policy, unit-testable: the naive tier once `waiting` writers
+/// fill at least `shed_naive_at` of `queue_limit` admission slots,
+/// compiled+indexed otherwise. queue_limit == 0 disables shedding entirely.
+ExecTier ChooseReadTier(size_t waiting, size_t queue_limit, double shed_naive_at);
 
 struct ServiceOptions {
   GuardedEngineOptions engine;
@@ -68,14 +65,9 @@ struct ServiceOptions {
   /// immediately (kResourceExhausted) instead of queueing. 0 = unbounded
   /// admission and no read shedding.
   size_t admission_queue_limit = 8;
-  /// Load factors (waiting / admission_queue_limit) at which reads shed to
-  /// the compiled and naive tiers.
-  double shed_compiled_at = 0.5;
+  /// Load factor (waiting / admission_queue_limit) at which reads shed to
+  /// the naive tier.
   double shed_naive_at = 0.75;
-  /// Retained-version soft cap: publishing past it drops the oldest
-  /// unpinned prefix eagerly. Pinned versions are never dropped, so the
-  /// real bound is cap + live pins.
-  size_t max_retained_versions = 64;
   /// Record every applied request in commit order — the soak's oracle
   /// source: replaying history[0..v) through a fresh engine reproduces the
   /// exact state any reader pinned at version v. (The journal cannot serve
@@ -290,20 +282,15 @@ class EngineService {
   /// this lock is not UB to reacquire from the releasing thread.
   class WriterLock {
    public:
-    void lock() {
+    void lock() { (void)try_lock_until(core::Deadline::Infinite()); }
+    /// Waits until the lock is free or `deadline` expires (an infinite one
+    /// never does); false on expiry.
+    bool try_lock_until(const core::Deadline& deadline) {
       std::unique_lock<std::mutex> guard(mutex_);
-      cv_.wait(guard, [this] { return !held_; });
-      held_ = true;
-    }
-    bool try_lock() {
-      std::lock_guard<std::mutex> guard(mutex_);
-      if (held_) return false;
-      held_ = true;
-      return true;
-    }
-    bool try_lock_for(std::chrono::milliseconds timeout) {
-      std::unique_lock<std::mutex> guard(mutex_);
-      if (!cv_.wait_for(guard, timeout, [this] { return !held_; })) {
+      const auto free = [this] { return !held_; };
+      if (deadline.is_infinite()) {
+        cv_.wait(guard, free);
+      } else if (!cv_.wait_until(guard, deadline.when(), free)) {
         return false;
       }
       held_ = true;

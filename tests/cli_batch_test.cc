@@ -5,8 +5,10 @@
 /// `quit`, a read, or an explicit `batch` block) — and a failed trailing
 /// flush must still set the process exit code. Also pins that malformed
 /// script lines (over-long tuples, reads missing their parameters) are
-/// reported, not fatal. Drives the real dynfo_cli executable
-/// (DYNFO_CLI_PATH) against specs/parity.dynfo or a spec the test writes.
+/// reported, not fatal, that a spec repeating a symbol is a load error,
+/// and that a deadline past the clock's range never expires. Drives the
+/// real dynfo_cli executable (DYNFO_CLI_PATH) against specs/parity.dynfo or
+/// a spec the test writes.
 
 #include <gtest/gtest.h>
 
@@ -194,6 +196,34 @@ TEST(CliInputTest, ReadsMissingTheirParametersAreReportedNotFatal) {
     EXPECT_NE(run.output.find("adj = {(2)}"), std::string::npos) << run.output;
   }
   std::remove(spec.c_str());
+}
+
+TEST(CliInputTest, RepeatedSymbolIsALoadError) {
+  const std::string spec = TestFilePath(".dynfo");
+  {
+    std::ofstream out(spec);
+    out << "program twice\n"
+           "input {\n  relation M/1\n  relation M/1\n}\n"
+           "data {\n  relation M/1\n}\n";
+  }
+  const RunResult run = RunCli("", "ins M 0\n", spec);
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("line 4: duplicate symbol name: M"), std::string::npos)
+      << run.output;
+  std::remove(spec.c_str());
+}
+
+TEST(CliInputTest, DeadlinePastTheClockNeverExpires) {
+  // Past the clock's range (about 9.2e12 ms) the deadline saturates.
+  const RunResult run =
+      RunCli("--deadline-ms=9300000000000", "ins M 0\nins M 1\nins M 2\nquery\n");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("true"), std::string::npos) << run.output;
+  // Past int64 it would wrap to "already expired": a usage error instead.
+  const RunResult wrapped = RunCli("--deadline-ms=18446744073709551615", "ins M 0\n");
+  EXPECT_EQ(wrapped.exit_code, 2) << wrapped.output;
+  EXPECT_NE(wrapped.output.find("bad --deadline-ms value"), std::string::npos)
+      << wrapped.output;
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
+#include "core/cancel.h"
 #include "core/check.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -48,6 +50,17 @@ TEST(CheckDeathTest, FailureAborts) {
 TEST(CheckTest, SuccessIsSilent) {
   DYNFO_CHECK(2 + 2 == 4) << "never evaluated";
   SUCCEED();
+}
+
+TEST(DeadlineTest, PastTheClockNeverExpires) {
+  // now() +/- these many ms would overflow the nanosecond clock.
+  EXPECT_TRUE(Deadline::AfterMillis(INT64_MAX).is_infinite());
+  EXPECT_FALSE(Deadline::AfterMillis(INT64_MAX).expired());
+  EXPECT_TRUE(Deadline::AfterMillis(9'300'000'000'000).is_infinite());
+  EXPECT_TRUE(Deadline::AfterMillis(INT64_MIN).expired());
+  const Deadline minute = Deadline::AfterMillis(60'000);
+  EXPECT_FALSE(minute.is_infinite());
+  EXPECT_FALSE(minute.expired());
 }
 
 TEST(RngTest, Deterministic) {

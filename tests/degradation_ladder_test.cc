@@ -1,5 +1,5 @@
-/// The degradation ladder (DESIGN.md §10), pinned path by path with the
-/// GovernancePolicy test injector: which failures descend, which repair in
+/// The degradation ladder (DESIGN.md §10) — configured → naive →
+/// start-over — pinned path by path with the GovernancePolicy test injector: which failures descend, which repair in
 /// place, which return immediately, and which reach the start-over rung —
 /// plus the activation counters that prove where each request landed. Every
 /// landing tier must still produce answers identical to an uninterrupted
@@ -41,6 +41,7 @@ relational::Structure OracleState(const relational::RequestSequence& requests) {
 }
 
 TEST(DegradationLadderTest, BudgetBreachAtTopTierLandsOnCompiled) {
+  // Named for the retired index-off rung; the rung below the top is naive.
   GuardedEngineOptions options;
   options.governance.inject_for_test = [](ExecTier tier) {
     return tier == ExecTier::kCompiledIndexed
@@ -56,8 +57,8 @@ TEST(DegradationLadderTest, BudgetBreachAtTopTierLandsOnCompiled) {
   const RecoveryStats& stats = guarded.recovery_stats();
   // Every request tried the top tier, breached, and landed one rung down.
   EXPECT_EQ(stats.tier_activations[0], requests.size());
-  EXPECT_EQ(stats.tier_activations[1], requests.size());
-  EXPECT_EQ(stats.tier_activations[2], 0u);
+  EXPECT_EQ(stats.tier_activations[1], 0u);
+  EXPECT_EQ(stats.tier_activations[2], requests.size());
   EXPECT_EQ(stats.tier_activations[3], 0u);
   EXPECT_EQ(stats.budget_breaches, requests.size());
   EXPECT_EQ(stats.ladder_fallbacks, requests.size());
@@ -100,9 +101,10 @@ TEST(DegradationLadderTest, PersistentFailureReachesStartOverRung) {
   }
   const RecoveryStats& stats = guarded.recovery_stats();
   EXPECT_EQ(stats.tier_activations[0], requests.size());
-  EXPECT_EQ(stats.tier_activations[1], requests.size());
+  EXPECT_EQ(stats.tier_activations[1], 0u);
   EXPECT_EQ(stats.tier_activations[2], requests.size());
   EXPECT_EQ(stats.tier_activations[3], requests.size());
+  EXPECT_EQ(stats.ladder_fallbacks, 2 * requests.size());
   EXPECT_EQ(stats.start_over_applies, requests.size());
   EXPECT_EQ(stats.recoveries, requests.size());
   // Start-over rebuilds from the canonical input order, so auxiliary state
@@ -124,7 +126,8 @@ TEST(DegradationLadderTest, CancellationReturnsImmediatelyWithoutDescending) {
   const RecoveryStats& stats = guarded.recovery_stats();
   EXPECT_EQ(stats.cancellations, 1u);
   EXPECT_EQ(stats.ladder_fallbacks, 0u);
-  EXPECT_EQ(stats.tier_activations[1], 0u);
+  EXPECT_EQ(stats.tier_activations[0], 1u);
+  EXPECT_EQ(stats.tier_activations[2], 0u);
   // A rejected request is not history: neither the shadow input nor the
   // request counter moved, and the engine is still empty.
   EXPECT_EQ(stats.requests, 0u);

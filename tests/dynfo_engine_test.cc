@@ -159,6 +159,30 @@ TEST(EngineTest, ValidateRejectsUnknownTarget) {
   EXPECT_FALSE(program->Validate().ok());
 }
 
+TEST(EngineTest, ValidateRejectsMirrorArityMismatch) {
+  // ins E is mirrored into the data relation E, which must be binary too.
+  auto data = std::make_shared<Vocabulary>();
+  data->AddRelation("E", 3);
+  auto program = std::make_shared<DynProgram>("bad", EdgeInput(), data);
+  EXPECT_FALSE(program->Validate().ok());
+}
+
+TEST(EngineTest, ValidateRejectsTwoUpdatesOfOneTarget) {
+  auto data = std::make_shared<Vocabulary>();
+  data->AddRelation("E", 2);
+  data->AddRelation("D", 1);
+  auto program = std::make_shared<DynProgram>("bad", EdgeInput(), data);
+  program->AddUpdate(RequestKind::kInsert, "E", {"D", {"x"}, EqT(V("x"), P0())});
+  program->AddUpdate(RequestKind::kInsert, "E",
+                     {"D", {"x"}, Rel("D", {V("x")})});
+  EXPECT_FALSE(program->Validate().ok());
+  // One target per request kind: the same target under another kind is fine.
+  auto split = std::make_shared<DynProgram>("ok", EdgeInput(), data);
+  split->AddUpdate(RequestKind::kInsert, "E", {"D", {"x"}, EqT(V("x"), P0())});
+  split->AddUpdate(RequestKind::kDelete, "E", {"D", {"x"}, Rel("D", {V("x")})});
+  EXPECT_TRUE(split->Validate().ok());
+}
+
 TEST(EngineTest, AllExecutionModesAgree) {
   // Drive the same random workload through all four engine configurations;
   // data structures must match exactly after every request.

@@ -50,7 +50,7 @@ TEST(GovernanceTest, GenerousGovernanceMatchesUngovernedRun) {
   BatchReport report;
   for (const relational::Request& request : ReachWorkload(n, 4)) {
     core::Status status = governed.TryApply(request, governance,
-                                            /*tier=*/std::nullopt, &report);
+                                            /*naive=*/false, &report);
     ASSERT_TRUE(status.ok()) << status.ToString();
     legacy.Apply(request);
   }
@@ -110,7 +110,7 @@ TEST(GovernanceTest, BudgetBreachReturnsResourceExhausted) {
   governance.limits.max_tuples = 1;  // any real evaluation materializes more
   BatchReport report;
   core::Status status = engine.TryApply(relational::Request::Insert("E", {0, 6}),
-                                        governance, std::nullopt, &report);
+                                        governance, /*naive=*/false, &report);
   EXPECT_EQ(status.code(), core::StatusCode::kResourceExhausted)
       << status.ToString();
   EXPECT_EQ(engine.Snapshot(), before);
@@ -160,7 +160,7 @@ TEST(GovernanceTest, SemiDynamicDeleteIsATypedErrorWhenGoverned) {
   governance.deadline_ms = 60 * 1000;
   BatchReport report;
   core::Status status = engine.TryApply(Request::Delete("E", {0, 1}), governance,
-                                        std::nullopt, &report);
+                                        /*naive=*/false, &report);
   EXPECT_EQ(status.code(), core::StatusCode::kError) << status.ToString();
   EXPECT_NE(status.message().find("semi-dynamic"), std::string::npos);
   EXPECT_EQ(report.applied, 0u);
@@ -174,21 +174,28 @@ TEST(GovernanceTest, SemiDynamicDeleteIsATypedErrorWhenGoverned) {
 }
 
 TEST(GovernanceTest, TierOverridesProduceIdenticalStates) {
+  // The ladder's rungs on one engine configuration: as configured, and
+  // pinned to the naive reference — also on an engine configured without
+  // indexes, whose pinned requests still run naive.
   const size_t n = 8;
   ApplyGovernance governance;
   governance.deadline_ms = 60 * 1000;
-  Engine indexed(programs::MakeReachUProgram(), n);
-  Engine compiled(programs::MakeReachUProgram(), n);
+  EngineOptions no_indexes;
+  no_indexes.use_indexes = false;
+  Engine configured(programs::MakeReachUProgram(), n);
   Engine naive(programs::MakeReachUProgram(), n);
+  Engine naive_no_indexes(programs::MakeReachUProgram(), n, no_indexes);
   for (const relational::Request& request : ReachWorkload(n, 7)) {
-    ASSERT_TRUE(indexed
-                    .TryApply(request, governance, ExecTier::kCompiledIndexed)
-                    .ok());
-    ASSERT_TRUE(compiled.TryApply(request, governance, ExecTier::kCompiled).ok());
-    ASSERT_TRUE(naive.TryApply(request, governance, ExecTier::kNaive).ok());
+    ASSERT_TRUE(configured.TryApply(request, governance).ok());
+    ASSERT_TRUE(naive.TryApply(request, governance, /*naive=*/true).ok());
+    ASSERT_TRUE(naive_no_indexes.TryApply(request, governance, /*naive=*/true).ok());
   }
-  EXPECT_EQ(indexed.data(), compiled.data());
-  EXPECT_EQ(indexed.data(), naive.data());
+  EXPECT_EQ(configured.data(), naive.data());
+  EXPECT_EQ(configured.data(), naive_no_indexes.data());
+  // A naive-pinned request rematerializes every rule: no delta work.
+  EXPECT_EQ(naive.stats().delta_applications, 0u);
+  EXPECT_EQ(naive.stats().fallback_recomputes, 0u);
+  EXPECT_GT(configured.stats().delta_applications, 0u);
 }
 
 TEST(GovernanceTest, ValidateIndexesDetectsCorruptionAndRebuildRepairs) {
@@ -224,19 +231,6 @@ TEST(GovernanceTest, ValidateIndexesDetectsCorruptionAndRebuildRepairs) {
     fresh.Apply(request);
   }
   EXPECT_EQ(engine.data(), fresh.data());
-}
-
-TEST(GovernanceTest, ConfiguredTierTracksEngineOptions) {
-  EngineOptions naive;
-  naive.eval_mode = EvalMode::kNaive;
-  EXPECT_EQ(Engine(programs::MakeReachUProgram(), 6, naive).ConfiguredTier(),
-            ExecTier::kNaive);
-  EngineOptions no_indexes;
-  no_indexes.use_indexes = false;
-  EXPECT_EQ(Engine(programs::MakeReachUProgram(), 6, no_indexes).ConfiguredTier(),
-            ExecTier::kCompiled);
-  EXPECT_EQ(Engine(programs::MakeReachUProgram(), 6).ConfiguredTier(),
-            ExecTier::kCompiledIndexed);
 }
 
 }  // namespace

@@ -153,6 +153,88 @@ data {
 }
 )");
   EXPECT_FALSE(bad_arity.ok());
+
+  // Repeated or empty symbol names and repeated named queries: each one a
+  // line-numbered load error, not a CHECK failure in Vocabulary or
+  // DynProgram.
+  const std::pair<const char*, const char*> bad_symbols[] = {
+      {"line 4: duplicate symbol name: M", R"(program x
+input {
+  relation M/1
+  relation M/1
+}
+data {
+  relation M/1
+}
+)"},
+      {"line 3: missing symbol name", R"(program x
+input {
+  relation /1
+}
+data {
+  relation M/1
+}
+)"},
+      {"line 8: duplicate symbol name: M", R"(program x
+input {
+  relation M/1
+}
+data {
+  relation M/1
+  relation P/1
+  constant M
+}
+)"},
+      {"line 9: duplicate named query q", R"(program x
+input {
+  relation M/1
+}
+data {
+  relation M/1
+}
+query q(x) := M(x)
+query q(x) := !M(x)
+)"},
+  };
+  for (const auto& [message, spec] : bad_symbols) {
+    auto loaded = LoadProgramFromText(spec);
+    ASSERT_FALSE(loaded.ok()) << spec;
+    EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+        << loaded.status().message();
+  }
+
+  // Shapes that load but would abort or split the backends on the first
+  // write: Validate() rejects them.
+  auto mirror_arity = LoadProgramFromText(R"(
+program x
+input {
+  relation M/1
+}
+data {
+  relation M/2
+}
+)");
+  ASSERT_FALSE(mirror_arity.ok());
+  EXPECT_NE(mirror_arity.status().message().find("arity"), std::string::npos)
+      << mirror_arity.status().message();
+  auto twice_targeted = LoadProgramFromText(R"(
+program x
+input {
+  relation M/1
+}
+data {
+  relation M/1
+  relation P/1
+}
+on insert M {
+  P(x) := P(x) | x = $0
+  P(x) := P(x)
+}
+)");
+  ASSERT_FALSE(twice_targeted.ok());
+  EXPECT_NE(twice_targeted.status().message().find("two update rules target P"),
+            std::string::npos)
+      << twice_targeted.status().message();
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "fo/eval_naive.h"
 #include "programs/parity.h"
 #include "programs/reach_u.h"
+#include "programs/registry.h"
 #include "test_util.h"
 
 namespace dynfo {
@@ -313,6 +314,41 @@ TEST(PlanEquivalence, HotApplyPathRunsZeroPlannerInvocations) {
     EXPECT_EQ(after.plan_cache_misses, at_load.plan_cache_misses) << test_case.name;
     EXPECT_GT(after.plan_cache_hits, 0u) << test_case.name;
     EXPECT_GT(after.PlanCacheHitRate(), 0.9) << test_case.name;
+  }
+
+  // Every registry program under every compiled-plan configuration: load-
+  // time precompilation and Apply read the same per-rule path decision, so
+  // whatever path a rule takes was compiled before the first request.
+  struct Config {
+    const char* name;
+    dyn::EngineOptions options;
+  };
+  std::vector<Config> configs(5);
+  configs[0].name = "default";
+  configs[1].name = "no_indexes";
+  configs[1].options.use_indexes = false;
+  configs[2].name = "no_delta";
+  configs[2].options.use_delta = false;
+  configs[3].name = "dense_auto";
+  configs[3].options.use_dense_relations = true;
+  configs[4].name = "dense_forced";
+  configs[4].options.use_dense_relations = true;
+  configs[4].options.force_dense_backend = true;
+  for (const programs::ProgramScenario& scenario : programs::AllScenarios()) {
+    const size_t n = scenario.default_universe;
+    const relational::RequestSequence requests = scenario.make_workload(n, 7);
+    for (const Config& config : configs) {
+      dyn::Engine engine(scenario.make_program(), n, config.options);
+      if (scenario.post_init) scenario.post_init(&engine);
+      const fo::EvalStats at_load = engine.eval_stats();
+      for (const relational::Request& request : requests) engine.Apply(request);
+      if (engine.program().bool_query() != nullptr) engine.QueryBool();
+      const fo::EvalStats after = engine.eval_stats();
+      EXPECT_EQ(after.planner_runs, at_load.planner_runs)
+          << scenario.name << " / " << config.name << " planned during Apply";
+      EXPECT_EQ(after.plan_cache_misses, at_load.plan_cache_misses)
+          << scenario.name << " / " << config.name;
+    }
   }
 }
 

@@ -190,9 +190,8 @@ TEST(ServiceConcurrencyTest, ReadersRaceReloadProgram) {
 TEST(ServiceConcurrencyTest, PinsRaceReclamation) {
   // Short-lived pins churn against eager reclamation: every release may
   // free a version while another thread is pinning the newest.
-  dyn::ServiceOptions options = ConcurrencyOptions();
-  options.max_retained_versions = 2;
-  EngineService service(programs::MakeParityProgram(), kUniverse, options);
+  EngineService service(programs::MakeParityProgram(), kUniverse,
+                        ConcurrencyOptions());
   core::Result<EngineService::SessionId> session = service.OpenSession();
   ASSERT_TRUE(session.ok());
 

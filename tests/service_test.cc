@@ -45,22 +45,21 @@ EngineService::SessionId MustOpen(EngineService* service) {
 // -- Shed policy -------------------------------------------------------------
 
 TEST(ChooseReadTierTest, ShedsByLoadFactor) {
-  // limit 8, shed compiled at 0.5, naive at 0.75.
-  EXPECT_EQ(ChooseReadTier(0, 8, 0.5, 0.75), ExecTier::kCompiledIndexed);
-  EXPECT_EQ(ChooseReadTier(3, 8, 0.5, 0.75), ExecTier::kCompiledIndexed);
-  EXPECT_EQ(ChooseReadTier(4, 8, 0.5, 0.75), ExecTier::kCompiled);
-  EXPECT_EQ(ChooseReadTier(5, 8, 0.5, 0.75), ExecTier::kCompiled);
-  EXPECT_EQ(ChooseReadTier(6, 8, 0.5, 0.75), ExecTier::kNaive);
-  EXPECT_EQ(ChooseReadTier(8, 8, 0.5, 0.75), ExecTier::kNaive);
-  EXPECT_EQ(ChooseReadTier(100, 8, 0.5, 0.75), ExecTier::kNaive);
+  // limit 8, shed to naive at 0.75.
+  EXPECT_EQ(ChooseReadTier(0, 8, 0.75), ExecTier::kCompiledIndexed);
+  EXPECT_EQ(ChooseReadTier(3, 8, 0.75), ExecTier::kCompiledIndexed);
+  EXPECT_EQ(ChooseReadTier(5, 8, 0.75), ExecTier::kCompiledIndexed);
+  EXPECT_EQ(ChooseReadTier(6, 8, 0.75), ExecTier::kNaive);
+  EXPECT_EQ(ChooseReadTier(8, 8, 0.75), ExecTier::kNaive);
+  EXPECT_EQ(ChooseReadTier(100, 8, 0.75), ExecTier::kNaive);
 }
 
 TEST(ChooseReadTierTest, ZeroLimitDisablesShedding) {
-  EXPECT_EQ(ChooseReadTier(1000, 0, 0.5, 0.75), ExecTier::kCompiledIndexed);
+  EXPECT_EQ(ChooseReadTier(1000, 0, 0.75), ExecTier::kCompiledIndexed);
 }
 
 TEST(ChooseReadTierTest, ZeroWaitingNeverSheds) {
-  EXPECT_EQ(ChooseReadTier(0, 1, 0.0, 0.0), ExecTier::kCompiledIndexed);
+  EXPECT_EQ(ChooseReadTier(0, 1, 0.0), ExecTier::kCompiledIndexed);
 }
 
 // -- Snapshot isolation ------------------------------------------------------
@@ -183,13 +182,12 @@ TEST(EngineServiceTest, WaitingWriterGivesUpAtItsDeadline) {
 TEST(EngineServiceTest, ReadsShedTiersUnderWriterPressure) {
   dyn::ServiceOptions options = TestOptions();
   options.admission_queue_limit = 4;
-  options.shed_compiled_at = 0.5;
   options.shed_naive_at = 0.75;
   EngineService service(programs::MakeParityProgram(), 8, options);
 
   EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiledIndexed);
   service.InjectWaitingWritersForTest(2);
-  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiled);
+  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiledIndexed);
   service.InjectWaitingWritersForTest(3);
   EXPECT_EQ(service.PinVersion().tier(), ExecTier::kNaive);
   service.InjectWaitingWritersForTest(0);
@@ -207,6 +205,7 @@ TEST(EngineServiceTest, ReadsShedTiersUnderWriterPressure) {
 
   const dyn::ServiceStats stats = service.stats();
   EXPECT_GT(stats.reads_tier[static_cast<int>(ExecTier::kNaive)], 0u);
+  EXPECT_EQ(stats.reads_tier[1], 0u);  // the retired compiled tier's slot
 }
 
 TEST(EngineServiceTest, EnforcesTheSessionLimit) {
@@ -583,6 +582,25 @@ TEST(ServiceDispatchTest, ReadsMissingTheirParametersAreUsageErrors) {
   const std::string adj = server.Dispatch(session, "show adj 1");
   EXPECT_EQ(adj.rfind("0 ", 0), 0u) << adj;
   EXPECT_NE(adj.find("(2)"), std::string::npos) << adj;
+}
+
+TEST(ServiceDispatchTest, DeadlinesPastTheClockNeverExpire) {
+  EngineService service(programs::MakeParityProgram(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const EngineService::SessionId session = MustOpen(&service);
+  // Beyond the clock's range (about 9.2e12 ms): accepted, never expires.
+  ASSERT_EQ(server.Dispatch(session, "deadline 9300000000000"),
+            wire::EncodeResponse(0, "ok"));
+  EXPECT_EQ(server.Dispatch(session, "ins M 1"), wire::EncodeResponse(0, "ok"));
+  ASSERT_EQ(server.Dispatch(session, "deadline 9223372036854775807"),
+            wire::EncodeResponse(0, "ok"));
+  EXPECT_EQ(server.Dispatch(session, "ins M 2"), wire::EncodeResponse(0, "ok"));
+  // Beyond int64 it would wrap to "already expired": a usage error, and
+  // the session keeps its previous deadline.
+  const std::string wrapped = server.Dispatch(session, "deadline 18446744073709551615");
+  EXPECT_EQ(wrapped.rfind("2 ", 0), 0u) << wrapped;
+  EXPECT_EQ(server.Dispatch(session, "ins M 3"), wire::EncodeResponse(0, "ok"));
+  EXPECT_EQ(service.stats().admission_timeouts, 0u);
 }
 
 TEST(ServiceDispatchTest, QueryWithoutABooleanQueryIsAUsageError) {

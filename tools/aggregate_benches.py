@@ -272,7 +272,8 @@ def derive_service(rows):
     From the largest BM_ServiceSoak run: the survival gates (crashes,
     read linearizability against the applied history, bit-identical oracle
     state), the admission-control counters, read amortization
-    (reads_served_per_snapshot), and the shed-tier distribution. From
+    (reads_served_per_snapshot), and the shed-tier distribution by
+    ExecTier slot (slot 1, the retired compiled tier, reads 0). From
     BM_SnapshotViewO1: the worst copy-on-write-view vs deep-snapshot cost
     quotient across benched universe sizes — the O(1) publish claim as a
     number.

@@ -509,7 +509,9 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       uint64_t millis = 0;
-      if (!dynfo::core::ParseU64(arg.substr(14), &millis) || millis == 0) {
+      // deadline_ms is signed: larger values would wrap to "already expired".
+      if (!dynfo::core::ParseU64(arg.substr(14), &millis) || millis == 0 ||
+          millis > INT64_MAX) {
         std::fprintf(stderr, "error: bad --deadline-ms value '%s'\n",
                      arg.substr(14).c_str());
         return 2;

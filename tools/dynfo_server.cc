@@ -6,8 +6,8 @@
 /// Usage:
 ///   dynfo_server [--listen=ADDR] [--backend=MODE] [--deadline-ms=N]
 ///                [--max-memory-mb=N] [--max-sessions=N]
-///                [--admission-limit=N] [--shed-compiled-at=F]
-///                [--shed-naive-at=F] <program.dynfo> <universe-size>
+///                [--admission-limit=N] [--shed-naive-at=F]
+///                <program.dynfo> <universe-size>
 ///
 /// Flags:
 ///   --listen=ADDR        unix:/path/to.sock (default unix:/tmp/dynfo.sock)
@@ -23,17 +23,15 @@
 ///   --admission-limit=N  writers allowed to wait for the writer lock; one
 ///                        more is rejected with wire code 5 (the client's
 ///                        retry-with-backoff signal). 0 = unbounded.
-///   --shed-compiled-at=F / --shed-naive-at=F
-///                        load factors (waiting/limit) in [0, 1] at which
-///                        reads shed from compiled+indexed to compiled, then
-///                        to naive
+///   --shed-naive-at=F    load factor (waiting/limit) in [0, 1] at which
+///                        reads shed from compiled+indexed to naive
 ///
 /// A malformed flag value exits with the usage code 2.
 ///
 /// Writers serialize through the guarded engine; readers run against
 /// copy-on-write snapshots and are never refused — under writer pressure
-/// they descend the degradation ladder's read tiers instead. The server
-/// runs until SIGINT/SIGTERM.
+/// they shed to the naive read tier instead. The server runs until
+/// SIGINT/SIGTERM.
 
 #include <charconv>
 #include <cmath>
@@ -103,7 +101,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!dynfo::core::ParseU64(arg.substr(14), &parsed) || parsed == 0) {
+      // deadline_ms is signed: larger values would wrap to "already expired".
+      if (!dynfo::core::ParseU64(arg.substr(14), &parsed) || parsed == 0 ||
+          parsed > INT64_MAX) {
         std::fprintf(stderr, "error: bad --deadline-ms value\n");
         return 2;
       }
@@ -126,11 +126,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.admission_queue_limit = static_cast<size_t>(parsed);
-    } else if (arg.rfind("--shed-compiled-at=", 0) == 0) {
-      if (!ParseLoadFactor(arg.substr(19), &options.shed_compiled_at)) {
-        std::fprintf(stderr, "error: bad --shed-compiled-at value (want 0..1)\n");
-        return 2;
-      }
     } else if (arg.rfind("--shed-naive-at=", 0) == 0) {
       if (!ParseLoadFactor(arg.substr(16), &options.shed_naive_at)) {
         std::fprintf(stderr, "error: bad --shed-naive-at value (want 0..1)\n");
@@ -148,8 +143,8 @@ int main(int argc, char** argv) {
                  "usage: %s [--listen=unix:/path|tcp:[host:]port] "
                  "[--backend=auto|hash|dense] [--deadline-ms=N] "
                  "[--max-memory-mb=N] [--max-sessions=N] "
-                 "[--admission-limit=N] [--shed-compiled-at=F] "
-                 "[--shed-naive-at=F] <program.dynfo> <universe-size>\n",
+                 "[--admission-limit=N] [--shed-naive-at=F] "
+                 "<program.dynfo> <universe-size>\n",
                  argv[0]);
     return 2;
   }
