@@ -164,6 +164,16 @@ inline bool GovernorStop(const ExecGovernor* governor) {
   return governor != nullptr && governor->ShouldStop();
 }
 
+/// Strided poll for row loops: polls once every kGovernorStride calls (and
+/// on the first), so cancellation latency stays bounded without a per-row
+/// atomic. Ungoverned loops pay one pointer compare. Usage:
+///   size_t polls = 0;
+///   for (...) { if (StridedStop(governor, &polls)) break; ... }
+inline bool StridedStop(const ExecGovernor* governor, size_t* counter) {
+  return governor != nullptr && ((*counter)++ % kGovernorStride) == 0 &&
+         governor->ShouldStop();
+}
+
 }  // namespace dynfo::core
 
 #endif  // DYNFO_CORE_CANCEL_H_

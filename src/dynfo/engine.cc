@@ -16,15 +16,8 @@ namespace dynfo::dyn {
 
 namespace {
 
-bool IsQuantifierFree(const fo::Formula& f) {
-  if (f.kind() == fo::FormulaKind::kExists || f.kind() == fo::FormulaKind::kForall) {
-    return false;
-  }
-  for (const fo::FormulaPtr& child : f.children()) {
-    if (!IsQuantifierFree(*child)) return false;
-  }
-  return true;
-}
+/// Stack-array bound on a dense bundle's rules; no real program comes close.
+constexpr size_t kMaxDenseRules = 16;
 
 /// True iff `f` is Atom(R, x1, ..., xk) with args exactly the rule's tuple
 /// variables, in order — the anchor shape a delta decomposition reads.
@@ -36,15 +29,6 @@ bool IsBaseAtom(const fo::Formula& f, const UpdateRule& rule) {
     if (!t.is_variable() || t.name() != rule.tuple_variables[i]) return false;
   }
   return true;
-}
-
-bool HasDuplicates(const std::vector<std::string>& names) {
-  for (size_t i = 0; i < names.size(); ++i) {
-    for (size_t j = i + 1; j < names.size(); ++j) {
-      if (names[i] == names[j]) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -84,73 +68,70 @@ void Engine::ReapplyBackend(int relation_index) {
   }
 }
 
-void Engine::BuildDenseBundles() {
-  dense_rules_.clear();
-  dense_memo_.Clear();
+void Engine::BuildRequestPlans() {
+  request_plans_.clear();
   dense_query_ = nullptr;
   dense_query_bit_ = -1;
-  if (backend_policy() == relational::BackendPolicy::kHashOnly ||
-      !options_.use_compiled_plans) {
-    return;
-  }
-  // Stack-array bound in TryDenseApply; no real program comes close.
-  constexpr size_t kMaxDenseRules = 16;
-  const relational::Vocabulary& vocab = data_.vocabulary();
   for (const auto& [key, rules] : program_->rules()) {
-    DenseRuleBundle bundle;
-    bundle.eligible =
-        rules.lets.empty() && !rules.updates.empty() &&
-        rules.updates.size() <= kMaxDenseRules;
-    std::set<int> views;
-    for (const UpdateRule& rule : rules.updates) {
-      if (!bundle.eligible) break;
-      DenseRuleEntry entry;
-      entry.target_index = vocab.RelationIndex(rule.target);
-      entry.arity = static_cast<int>(rule.tuple_variables.size());
-      // Duplicate tuple variables would need a diagonal restriction after
-      // the kernel; the legacy path handles them instead.
-      if (entry.target_index < 0 ||
-          entry.arity > relational::DenseSet::kMaxDenseArity ||
-          HasDuplicates(rule.tuple_variables)) {
-        bundle.eligible = false;
-        break;
-      }
-      entry.program = fo::LowerToDense(rule.formula, rule.tuple_variables, vocab);
-      if (entry.program == nullptr) {
-        bundle.eligible = false;
-        break;
-      }
-      views.insert(entry.program->view_relations.begin(),
-                   entry.program->view_relations.end());
-      bundle.entries.push_back(std::move(entry));
-    }
-    if (!bundle.eligible) bundle.entries.clear();
-    bundle.view_inputs.assign(views.begin(), views.end());
-    // Mirror plumbing, precomputed to mirror TryApply's tail exactly.
-    if (key.first == relational::RequestKind::kSetConstant) {
-      bundle.mirror_constant = vocab.ConstantIndex(key.second);
-    } else {
-      bool shadowed = false;
-      for (const UpdateRule& rule : rules.updates) {
-        if (rule.target == key.second) shadowed = true;
-      }
-      if (!shadowed) bundle.mirror_relation = vocab.RelationIndex(key.second);
-    }
-    dense_rules_.emplace(&rules, std::move(bundle));
+    PlanForRequest(key.first, key.second);
   }
-  if (program_->bool_query() != nullptr) {
-    dense_query_ = fo::LowerToDense(program_->bool_query(), {}, vocab);
-    if (dense_query_ != nullptr &&
-        dense_query_->root->kind == fo::DenseOpKind::kAtom &&
-        dense_query_->root->relation_arity == 0 &&
-        dense_query_->root->args.empty()) {
-      dense_query_bit_ = dense_query_->root->relation_index;
-    }
+  if (!dense_configured() || program_->bool_query() == nullptr) return;
+  dense_query_ = fo::LowerToDense(program_->bool_query(), {}, data_.vocabulary());
+  if (dense_query_ != nullptr && dense_query_->root->kind == fo::DenseOpKind::kAtom &&
+      dense_query_->root->relation_arity == 0 && dense_query_->root->args.empty()) {
+    dense_query_bit_ = dense_query_->root->relation_index;
   }
 }
 
+const Engine::RequestPlan& Engine::PlanForRequest(relational::RequestKind kind,
+                                                  const std::string& target) {
+  for (const RequestPlan& plan : request_plans_) {
+    if (plan.kind == kind && plan.target == target) return plan;
+  }
+  RequestPlan plan;
+  plan.kind = kind;
+  plan.target = target;
+  plan.rules = program_->RulesFor(kind, target);
+  const relational::Vocabulary& vocab = data_.vocabulary();
+  // The raw change lands in the same-named data symbol unless an update
+  // rule of this class redefines it.
+  if (kind == relational::RequestKind::kSetConstant) {
+    plan.mirror = vocab.ConstantIndex(target);
+  } else {
+    plan.mirror = vocab.RelationIndex(target);
+    if (plan.rules != nullptr) {
+      for (const UpdateRule& rule : plan.rules->updates) {
+        if (rule.target == target) plan.mirror = -1;
+      }
+    }
+  }
+  DenseRuleBundle& bundle = plan.dense;
+  bundle.eligible = dense_configured() && plan.rules != nullptr &&
+                    plan.rules->lets.empty() && !plan.rules->updates.empty() &&
+                    plan.rules->updates.size() <= kMaxDenseRules;
+  std::set<int> views;
+  for (size_t i = 0; bundle.eligible && i < plan.rules->updates.size(); ++i) {
+    const UpdateRule& rule = plan.rules->updates[i];
+    DenseRuleEntry entry;
+    entry.target_index = vocab.RelationIndex(rule.target);
+    entry.arity = static_cast<int>(rule.tuple_variables.size());
+    if (entry.arity <= relational::DenseSet::kMaxDenseArity) {
+      entry.program = fo::LowerToDense(rule.formula, rule.tuple_variables, vocab);
+    }
+    bundle.eligible = entry.program != nullptr;
+    if (!bundle.eligible) break;
+    views.insert(entry.program->view_relations.begin(),
+                 entry.program->view_relations.end());
+    bundle.entries.push_back(std::move(entry));
+  }
+  if (!bundle.eligible) bundle.entries.clear();
+  bundle.view_inputs.assign(views.begin(), views.end());
+  request_plans_.push_back(std::move(plan));
+  return request_plans_.back();
+}
+
 void Engine::PrecompileProgram() {
-  BuildDenseBundles();
+  BuildRequestPlans();
   if (options_.eval_mode != EvalMode::kAlgebra || !options_.use_compiled_plans) return;
   fo::EvalContext ctx(data_, {}, eval_options());
   auto precompile = [&](const fo::FormulaPtr& formula) {
@@ -168,10 +149,7 @@ void Engine::PrecompileProgram() {
       precompile(rule.formula);
       return;
     }
-    // The diff path evaluates the keep-filter set-wise unless it is trivial
-    // or quantifier-free (checked tuple by tuple).
-    if (plan.path == RulePath::kDiff && plan.keep->kind() != fo::FormulaKind::kTrue &&
-        !IsQuantifierFree(*plan.keep)) {
+    if (plan.path == RulePath::kDiff && plan.keep_test == KeepTest::kSetWise) {
       precompile(plan.keep);
     }
     if (plan.additions->kind() != fo::FormulaKind::kFalse) precompile(plan.additions);
@@ -259,10 +237,7 @@ const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule, bool is_let) {
   // never plans.
   const bool trivial_keep =
       plan.applicable && plan.keep->kind() == fo::FormulaKind::kTrue;
-  if (plan.applicable && delta_configured() && options_.use_compiled_plans &&
-      // Duplicate tuple variables make position→column mapping ambiguous
-      // for a removal plan (harmless when nothing is ever removed).
-      (trivial_keep || !HasDuplicates(rule.tuple_variables))) {
+  if (plan.applicable && delta_configured() && options_.use_compiled_plans) {
     const fo::FormulaPtr not_keep =
         trivial_keep ? nullptr : fo::ToNnf(fo::Formula::Not(plan.keep));
     const int base_index = data_.vocabulary().RelationIndex(plan.base);
@@ -282,6 +257,12 @@ const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule, bool is_let) {
   } else if (!is_let && plan.applicable && delta_configured() &&
              plan.base == rule.target) {
     plan.path = RulePath::kDiff;
+    // A quantifier-free keep is checked tuple by tuple; any other
+    // non-trivial keep is evaluated set-wise.
+    if (!trivial_keep) {
+      plan.keep_test = fo::IsQuantifierFree(*plan.keep) ? KeepTest::kPerTuple
+                                                        : KeepTest::kSetWise;
+    }
   }
   return plans_.emplace(&rule, std::move(plan)).first->second;
 }
@@ -291,24 +272,15 @@ void Engine::Apply(const relational::Request& request) {
   DYNFO_CHECK(status.ok()) << status.ToString();
 }
 
-Engine::DenseApplyOutcome Engine::TryDenseApply(
-    const relational::Request& request, const core::ExecGovernor* governor) {
-  DenseLookupMemo::Entry& memo =
-      dense_memo_.by_kind[static_cast<int>(request.kind)];
-  if (memo.bundle == nullptr || memo.target != request.target) {
-    const RequestRules* rules = program_->RulesFor(request.kind, request.target);
-    if (rules == nullptr) return DenseApplyOutcome::kIneligible;
-    const auto found = dense_rules_.find(rules);
-    if (found == dense_rules_.end()) return DenseApplyOutcome::kIneligible;
-    memo.target = request.target;
-    memo.bundle = &found->second;
-  }
-  const DenseRuleBundle& bundle = *memo.bundle;
+Engine::DenseApplyOutcome Engine::TryDenseApply(const relational::Request& request,
+                                                const RequestPlan& plan,
+                                                const core::ExecGovernor* governor) {
+  const DenseRuleBundle& bundle = plan.dense;
   if (!bundle.eligible) return DenseApplyOutcome::kIneligible;
   // Per-request conditions: every target currently dense-backed with no
   // live indexes (a whole-plane rewrite would drop them), every
-  // slot-probed input dense-backed. Any miss falls back to the legacy
-  // path, which is always correct.
+  // slot-probed input dense-backed. Any miss falls back to the rule path,
+  // which is always correct.
   for (const DenseRuleEntry& entry : bundle.entries) {
     const relational::Relation& target = data_.relation(entry.target_index);
     if (target.backend() != relational::RelationBackend::kDense ||
@@ -344,7 +316,6 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
   // Evaluate-then-commit: every program reads the old planes and writes an
   // exec-local result (synchronous semantics), so a governor stop aborts
   // with nothing mutated.
-  constexpr size_t kMaxDenseRules = 16;  // enforced by BuildDenseBundles
   fo::DenseResult results[kMaxDenseRules];
   for (size_t i = 0; i < bundle.entries.size(); ++i) {
     if (!fo::ExecuteDenseProgram(*bundle.entries[i].program, ctx, &results[i])) {
@@ -352,8 +323,8 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
     }
   }
 
-  // Commit: whole-plane rewrites, then the usual input mirror; re-run the
-  // cost model on everything touched (the commit-boundary contract).
+  // Commit: whole-plane rewrites, then the input mirror; re-run the cost
+  // model on everything touched (the commit-boundary contract).
   const size_t n = data_.universe_size();
   uint64_t written = 0;
   for (size_t i = 0; i < bundle.entries.size(); ++i) {
@@ -368,30 +339,7 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
     target.FinishDenseRewrite();
     written += target.size();
   }
-  switch (request.kind) {
-    case relational::RequestKind::kInsert:
-    case relational::RequestKind::kDelete: {
-      if (bundle.mirror_relation < 0) break;
-      relational::Relation& rel = data_.relation(bundle.mirror_relation);
-      DYNFO_CHECK(rel.arity() == request.tuple.size());
-      if (request.kind == relational::RequestKind::kInsert) {
-        if (rel.Insert(request.tuple)) ++stats_.tuples_inserted;
-      } else {
-        if (rel.Erase(request.tuple)) ++stats_.tuples_erased;
-      }
-      // Arity <= 1 wants dense under every non-hash policy regardless of
-      // size (see Relation::WantsDense), and this path only runs on dense
-      // relations under such a policy — the cost model can only flip an
-      // arity-2 plane, so skip the guaranteed no-ops on the hot path.
-      if (rel.arity() == 2) ReapplyBackend(bundle.mirror_relation);
-      break;
-    }
-    case relational::RequestKind::kSetConstant:
-      if (bundle.mirror_constant >= 0) {
-        data_.set_constant(bundle.mirror_constant, request.value);
-      }
-      break;
-  }
+  CommitMirror(plan, request);
   for (const DenseRuleEntry& entry : bundle.entries) {
     if (entry.arity == 2) ReapplyBackend(entry.target_index);
   }
@@ -401,6 +349,27 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
   stats_.relations_recomputed += bundle.entries.size();
   stats_.tuples_written += written;
   return DenseApplyOutcome::kApplied;
+}
+
+void Engine::CommitMirror(const RequestPlan& plan, const relational::Request& request) {
+  if (plan.mirror < 0) return;
+  if (request.kind == relational::RequestKind::kSetConstant) {
+    data_.set_constant(plan.mirror, request.value);
+    return;
+  }
+  relational::Relation& rel = data_.relation(plan.mirror);
+  DYNFO_CHECK(rel.arity() == request.tuple.size());
+  if (request.kind == relational::RequestKind::kInsert) {
+    if (rel.Insert(request.tuple)) ++stats_.tuples_inserted;
+  } else {
+    if (rel.Erase(request.tuple)) ++stats_.tuples_erased;
+  }
+  // Under a non-hash policy an arity <= 1 relation wants dense whatever its
+  // size (Relation::WantsDense), so a point change can only flip an arity-2
+  // relation; skip the guaranteed no-ops.
+  if (rel.arity() == 2 && backend_policy() != relational::BackendPolicy::kHashOnly) {
+    ReapplyBackend(plan.mirror);
+  }
 }
 
 core::Status Engine::ValidateIndexes() const {
@@ -438,9 +407,10 @@ core::Status Engine::TryApply(const relational::Request& request,
   // requests in well under the cost of a steady_clock read. `report`
   // callers fall through (the batch path owns report bookkeeping), as do
   // naive-pinned requests.
-  if (!governance.active() && report == nullptr && !naive && !dense_rules_.empty()) {
+  if (!governance.active() && report == nullptr && !naive && dense_configured()) {
     CheckTrustedRequest(request);
-    switch (TryDenseApply(request, nullptr)) {
+    switch (TryDenseApply(request, PlanForRequest(request.kind, request.target),
+                          nullptr)) {
       case DenseApplyOutcome::kApplied:
         return core::Status();
       case DenseApplyOutcome::kAborted:
@@ -572,15 +542,91 @@ core::Status Engine::TryApplyDefinable(const DefinableChange& change,
   return TryApplyBatch(requests, governance, report);
 }
 
+namespace {
+
+/// One semi-naive step: erase `removals` from a relation, then insert
+/// `additions`.
+struct DeltaOps {
+  std::vector<relational::Tuple> removals;
+  std::vector<relational::Tuple> additions;
+};
+
+/// A let computed as base ± op records its op chain back to a root relation,
+/// so an update rule whose decomposition base is that let can replay the
+/// chain onto its own target in place.
+struct LetProvenance {
+  std::string root;           ///< the non-let relation the chain starts from
+  std::vector<DeltaOps> ops;  ///< replay in order: root ± ops == let value
+};
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
+
+/// One rule's value, landed by one of two commit strategies: swap in
+/// `replacement` (a kFull result, or a copy-on-write copy of the base with
+/// the delta applied), or replay `chain` and then `delta` onto the target in
+/// place, which keeps the target's persistent indexes alive.
+struct Engine::RuleValue {
+  const UpdateRule* rule = nullptr;
+  const DeltaPlan* plan = nullptr;
+  RulePath path = RulePath::kFull;  ///< the path this request ran it on
+  bool in_place = false;
+  relational::Relation replacement{0};
+  std::vector<DeltaOps> chain;
+  DeltaOps delta;
+  uint64_t erased = 0;  ///< ops that changed `replacement` from the base
+  uint64_t inserted = 0;
+};
+
+/// One request's evaluation state. Work is tallied here and folded into
+/// stats_ only past the abort point, so an aborted request leaves the
+/// counters (and therefore Snapshot(), which embeds the request count)
+/// untouched.
+struct Engine::RequestState {
+  bool naive = false;
+  bool count_fallbacks = false;  ///< kFull rules count as delta fallbacks
+  std::map<std::string, LetProvenance> let_provenance;  ///< by let target
+  /// Governed only: each let target's pre-request value, restored on abort.
+  std::vector<std::pair<std::string, relational::Relation>> let_rollback;
+  std::vector<RuleValue> staged;
+  Stats tally;
+
+  void Count(const RuleValue& value, bool is_let) {
+    if (value.path == RulePath::kFull) {
+      ++tally.relations_recomputed;
+      tally.tuples_written += value.replacement.size();
+      if (count_fallbacks) ++tally.fallback_recomputes;
+      return;
+    }
+    if (value.path == RulePath::kSemiNaive) ++tally.delta_rules;
+    // Lets and in-place replays count their own delta (a replayed chain was
+    // counted when its lets ran); an update built on a base copy counts the
+    // ops that changed the copy.
+    const DeltaOps& delta = value.delta;
+    const uint64_t written = is_let || value.in_place
+                                 ? delta.removals.size() + delta.additions.size()
+                                 : value.erased + value.inserted;
+    tally.tuples_delta_written += written;
+    tally.tuples_written += written;
+    if (is_let) return;
+    ++tally.delta_applications;
+    tally.tuples_erased += value.erased;
+    tally.tuples_inserted += value.inserted;
+  }
+};
+
 core::Status Engine::ApplyCore(const relational::Request& request,
                                const core::ExecGovernor* governor, bool naive) {
-  const bool governed = governor != nullptr;
-
+  const RequestPlan& plan = PlanForRequest(request.kind, request.target);
   // Governed (or report-carrying, or batched) dense path: the same kernels
   // with the governor polled between ops and inside row loops. An abort
   // mutates nothing.
-  if (!naive && !dense_rules_.empty()) {
-    switch (TryDenseApply(request, governor)) {
+  if (!naive) {
+    switch (TryDenseApply(request, plan, governor)) {
       case DenseApplyOutcome::kApplied:
         return core::Status();
       case DenseApplyOutcome::kAborted:
@@ -598,311 +644,176 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   }
   fo::EvalContext ctx(data_, params, eval_options());
   ctx.governor = governor;
+  RequestState state;
+  state.naive = naive;
+  state.count_fallbacks = !naive && delta_configured();
 
-  const RequestRules* rules = program_->RulesFor(request.kind, request.target);
-  const auto phase_start = std::chrono::steady_clock::now();
-  auto seconds_since = [](std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-        .count();
-  };
-
-  // Stats are accumulated locally and folded into stats_ only after the
-  // commit point: an aborted Apply leaves the counters (and therefore
-  // Snapshot(), which embeds the request count) untouched.
-  uint64_t lets_recomputed = 0;
-  uint64_t lets_tuples_written = 0;
-  uint64_t lets_delta_rules = 0;
-  uint64_t lets_fallbacks = 0;
-  uint64_t lets_delta_written = 0;
-
-  // One semi-naive step: erase `removals` from a relation, then insert
-  // `additions`. A let computed as base ± op records its op chain back to a
-  // root relation (LetProvenance) so an update rule whose decomposition base
-  // is that let can replay the chain onto its own target in place — keeping
-  // the target's persistent indexes alive across the Apply.
-  struct DeltaOps {
-    std::vector<relational::Tuple> removals;
-    std::vector<relational::Tuple> additions;
-  };
-  struct LetProvenance {
-    std::string root;           ///< the non-let relation the chain starts from
-    std::vector<DeltaOps> ops;  ///< replay in order: root ± ops == let value
-  };
-  std::map<std::string, LetProvenance> let_provenance;
-
-  // Each rule runs on the path PlanFor chose, except that a naive-pinned
-  // request runs every rule in full (and so counts no fallbacks).
-  const bool count_fallbacks = !naive && delta_configured();
-  auto path_of = [naive](const DeltaPlan& plan) {
-    return naive ? RulePath::kFull : plan.path;
-  };
-
-  // Temporaries: evaluated in order, committed immediately so later rules in
-  // this same request can read them. They never shadow non-let relations'
-  // old values because validated programs use distinct let targets. Because
-  // lets mutate data_ before the request's commit point, a governed Apply
-  // snapshots each let's old value and rolls it back on abort (ungoverned
-  // Applies never abort and skip the copies).
-  std::vector<std::pair<std::string, relational::Relation>> let_rollback;
-  auto abort_with = [&](core::Status status) {
-    for (auto it = let_rollback.rbegin(); it != let_rollback.rend(); ++it) {
+  const auto eval_start = std::chrono::steady_clock::now();
+  if (RunLets(plan, ctx, &state)) StageUpdates(plan, ctx, &state);
+  // The abort point: every update is staged and only lets have touched
+  // data_; nothing past this line can fail, so commit is all-or-nothing.
+  if (governor != nullptr && governor->stopped()) {
+    for (auto it = state.let_rollback.rbegin(); it != state.let_rollback.rend(); ++it) {
       data_.relation(it->first) = std::move(it->second);
     }
-    return status;
-  };
-
-  if (rules != nullptr) {
-    for (const UpdateRule& rule : rules->lets) {
-      const DeltaPlan& plan = PlanFor(rule, /*is_let=*/true);
-      relational::Relation result{0};
-      if (path_of(plan) == RulePath::kSemiNaive) {
-        // Semi-naive: the let is base ± a small delta. Share the base's
-        // storage (copy-on-write) and touch only the changed tuples.
-        DeltaOps op;
-        op.removals = algebra_.DeltaRemovals(*plan.removals, ctx);
-        if (plan.additions->kind() != fo::FormulaKind::kFalse) {
-          relational::Relation adds =
-              algebra_.EvaluateAsRelation(plan.additions, rule.tuple_variables, ctx);
-          op.additions.assign(adds.begin(), adds.end());
-        }
-        result = data_.relation(plan.base);
-        for (const relational::Tuple& t : op.removals) result.Erase(t);
-        for (const relational::Tuple& t : op.additions) result.Insert(t);
-        lets_delta_written += op.removals.size() + op.additions.size();
-        ++lets_delta_rules;
-        LetProvenance prov;
-        auto chained = let_provenance.find(plan.base);
-        if (chained != let_provenance.end()) {
-          prov = chained->second;
-        } else {
-          prov.root = plan.base;
-        }
-        prov.ops.push_back(std::move(op));
-        let_provenance[rule.target] = std::move(prov);
-      } else {
-        result = Evaluate(rule.formula, rule.tuple_variables, ctx, naive);
-        ++lets_recomputed;
-        lets_tuples_written += result.size();
-        if (count_fallbacks) ++lets_fallbacks;
-      }
-      if (governed && governor->stopped()) {
-        return abort_with(governor->status());
-      }
-      if (governed) {
-        let_rollback.emplace_back(rule.target, data_.relation(rule.target));
-      }
-      data_.relation(rule.target) = std::move(result);
-    }
+    return governor->status();
   }
-
-  // Main updates: evaluate everything against the pre-request state (plus
-  // lets), then commit atomically. Synchronous semantics makes the rules
-  // independent — each reads only the old structure.
-  struct Staged {
-    const UpdateRule* rule = nullptr;
-    const DeltaPlan* plan = nullptr;
-    RulePath path = RulePath::kFull;  ///< the path this request ran it on
-    /// Commit strategy when the decomposition base is another relation:
-    /// replace_with_delta swaps in a copy-on-write copy of base ± delta;
-    /// in_place_compose replays the base let's op chain (plus this rule's own
-    /// delta) onto the target, preserving its persistent indexes.
-    bool replace_with_delta = false;
-    bool in_place_compose = false;
-    relational::Relation replacement{0};
-    std::vector<relational::Tuple> removals;
-    relational::Relation additions{0};
-    std::vector<DeltaOps> compose_ops;
-    uint64_t staged_erased = 0;
-    uint64_t staged_inserted = 0;
-  };
-  std::vector<Staged> staged;
-  std::set<std::string> targeted;
-  if (rules != nullptr) {
-    for (const UpdateRule& rule : rules->updates) {
-      targeted.insert(rule.target);  // distinct: DynProgram::Validate
-      Staged s;
-      s.rule = &rule;
-      s.plan = &PlanFor(rule, /*is_let=*/false);
-      staged.push_back(std::move(s));
-    }
-  }
-
-  for (Staged& s : staged) {
-    const UpdateRule& rule = *s.rule;
-    const DeltaPlan& plan = *s.plan;
-    s.path = path_of(plan);
-    if (s.path == RulePath::kFull) {
-      s.replacement = Evaluate(rule.formula, rule.tuple_variables, ctx, naive);
-      continue;
-    }
-    // Removals: base tuples failing the keep-filter. With a bounded removal
-    // program they come straight out of the compiled plan (O(delta)); the
-    // diff path's scans below walk the whole stored relation.
-    if (s.path == RulePath::kSemiNaive) {
-      s.removals = algebra_.DeltaRemovals(*plan.removals, ctx);
-    } else if (plan.keep->kind() != fo::FormulaKind::kTrue) {
-      const relational::Relation& old = data_.relation(rule.target);
-      size_t polls = 0;
-      auto strided_stop = [&] {
-        return governor != nullptr &&
-               (polls++ % core::kGovernorStride) == 0 && ctx.ShouldStop();
-      };
-      if (IsQuantifierFree(*plan.keep)) {
-        for (const relational::Tuple& t : old) {
-          if (strided_stop()) break;
-          fo::Env env;
-          for (size_t i = 0; i < rule.tuple_variables.size(); ++i) {
-            env.Push(rule.tuple_variables[i], t[static_cast<int>(i)]);
-          }
-          if (!fo::NaiveEvaluator::Holds(*plan.keep, ctx, &env)) s.removals.push_back(t);
-        }
-      } else {
-        relational::Relation keep_set =
-            algebra_.EvaluateAsRelation(plan.keep, rule.tuple_variables, ctx);
-        for (const relational::Tuple& t : old) {
-          if (strided_stop()) break;
-          if (!keep_set.Contains(t)) s.removals.push_back(t);
-        }
-      }
-      ctx.Charge(s.removals.size(), rule.tuple_variables.size());
-    }
-    // Additions.
-    if (plan.additions->kind() != fo::FormulaKind::kFalse) {
-      s.additions =
-          algebra_.EvaluateAsRelation(plan.additions, rule.tuple_variables, ctx);
-    } else {
-      s.additions = relational::Relation(static_cast<int>(rule.tuple_variables.size()));
-    }
-    // Base is another relation (semi-naive only): either the base is a let
-    // whose delta chain roots at this rule's target (replay in place at
-    // commit), or the new value is a copy-on-write copy of the base with
-    // this delta applied.
-    if (plan.base != rule.target) {
-      auto prov = let_provenance.find(plan.base);
-      if (prov != let_provenance.end() && prov->second.root == rule.target) {
-        s.in_place_compose = true;
-        s.compose_ops = prov->second.ops;
-      } else {
-        s.replace_with_delta = true;
-        s.replacement = data_.relation(plan.base);
-        for (const relational::Tuple& t : s.removals) {
-          if (s.replacement.Erase(t)) ++s.staged_erased;
-        }
-        for (const relational::Tuple& t : s.additions) {
-          if (s.replacement.Insert(t)) ++s.staged_inserted;
-        }
-      }
-    }
-  }
-
-  // The abort point: every result so far is staged (or rolled back below);
-  // nothing past this line can fail, so commit is all-or-nothing.
-  if (governed && governor->stopped()) {
-    return abort_with(governor->status());
-  }
-
-  // Work accounting happens after the abort point so a cancelled Apply
-  // leaves stats untouched.
+  const Stats& tally = state.tally;
   ++stats_.requests;
-  stats_.relations_recomputed += lets_recomputed;
-  stats_.tuples_written += lets_tuples_written + lets_delta_written;
-  stats_.tuples_delta_written += lets_delta_written;
-  stats_.delta_rules += lets_delta_rules;
-  stats_.fallback_recomputes += lets_fallbacks;
-  for (const Staged& s : staged) {
-    if (s.path == RulePath::kFull) {
-      ++stats_.relations_recomputed;
-      stats_.tuples_written += s.replacement.size();
-      if (count_fallbacks) ++stats_.fallback_recomputes;
-    } else {
-      ++stats_.delta_applications;
-      if (s.path == RulePath::kSemiNaive) ++stats_.delta_rules;
-      // Replayed compose_ops were counted when their lets ran; charge only
-      // this rule's own delta.
-      const uint64_t delta_written =
-          s.replace_with_delta ? s.staged_erased + s.staged_inserted
-                               : s.removals.size() + s.additions.size();
-      stats_.tuples_delta_written += delta_written;
-      stats_.tuples_written += delta_written;
-      // Case C applied its delta to the staged copy at eval time; fold the
-      // counts the commit loop would otherwise have recorded.
-      stats_.tuples_erased += s.staged_erased;
-      stats_.tuples_inserted += s.staged_inserted;
-    }
-  }
-  stats_.update_wall_seconds += seconds_since(phase_start);
+  stats_.relations_recomputed += tally.relations_recomputed;
+  stats_.delta_applications += tally.delta_applications;
+  stats_.tuples_inserted += tally.tuples_inserted;
+  stats_.tuples_erased += tally.tuples_erased;
+  stats_.tuples_written += tally.tuples_written;
+  stats_.tuples_delta_written += tally.tuples_delta_written;
+  stats_.delta_rules += tally.delta_rules;
+  stats_.fallback_recomputes += tally.fallback_recomputes;
+  stats_.update_wall_seconds += SecondsSince(eval_start);
 
-  // Commit.
   const auto commit_start = std::chrono::steady_clock::now();
-  for (Staged& s : staged) {
-    relational::Relation& target = data_.relation(s.rule->target);
-    if (s.path == RulePath::kFull || s.replace_with_delta) {
-      target = std::move(s.replacement);
+  Commit(plan, request, &state);
+  stats_.commit_seconds += SecondsSince(commit_start);
+  return core::Status();
+}
+
+Engine::RuleValue Engine::EvaluateRule(const UpdateRule& rule, bool is_let,
+                                       const fo::EvalContext& ctx,
+                                       const RequestState& state) {
+  RuleValue value;
+  value.rule = &rule;
+  value.plan = &PlanFor(rule, is_let);
+  const DeltaPlan& plan = *value.plan;
+  value.path = state.naive ? RulePath::kFull : plan.path;
+  if (value.path == RulePath::kFull) {
+    value.replacement = Evaluate(rule.formula, rule.tuple_variables, ctx, state.naive);
+    return value;
+  }
+  // Removals: base tuples failing the keep-filter. The semi-naive program
+  // emits them directly (O(delta)); the diff path scans the whole stored
+  // target.
+  std::vector<relational::Tuple>& removals = value.delta.removals;
+  if (value.path == RulePath::kSemiNaive) {
+    removals = algebra_.DeltaRemovals(*plan.removals, ctx);
+  } else if (plan.keep_test != KeepTest::kNone) {
+    relational::Relation keep_set{0};
+    if (plan.keep_test == KeepTest::kSetWise) {
+      keep_set = algebra_.EvaluateAsRelation(plan.keep, rule.tuple_variables, ctx);
+    }
+    size_t polls = 0;
+    for (const relational::Tuple& t : data_.relation(rule.target)) {
+      if (core::StridedStop(ctx.governor, &polls)) break;
+      bool kept = false;
+      if (plan.keep_test == KeepTest::kSetWise) {
+        kept = keep_set.Contains(t);
+      } else {
+        fo::Env env;
+        for (size_t i = 0; i < rule.tuple_variables.size(); ++i) {
+          env.Push(rule.tuple_variables[i], t[static_cast<int>(i)]);
+        }
+        kept = fo::NaiveEvaluator::Holds(*plan.keep, ctx, &env);
+      }
+      if (!kept) removals.push_back(t);
+    }
+    ctx.Charge(removals.size(), rule.tuple_variables.size());
+  }
+  if (plan.additions->kind() != fo::FormulaKind::kFalse) {
+    const relational::Relation adds =
+        algebra_.EvaluateAsRelation(plan.additions, rule.tuple_variables, ctx);
+    value.delta.additions.assign(adds.begin(), adds.end());
+  }
+  // An update replays in place when its base is its own target or a let
+  // whose op chain roots at it. Every other delta — a let's always, since
+  // lets commit at once — becomes a copy of the base with the delta applied.
+  if (!is_let) {
+    const auto prov = state.let_provenance.find(plan.base);
+    if (plan.base == rule.target) {
+      value.in_place = true;
+    } else if (prov != state.let_provenance.end() && prov->second.root == rule.target) {
+      value.in_place = true;
+      value.chain = prov->second.ops;
+    }
+    if (value.in_place) return value;
+  }
+  value.replacement = data_.relation(plan.base);
+  for (const relational::Tuple& t : removals) {
+    if (value.replacement.Erase(t)) ++value.erased;
+  }
+  for (const relational::Tuple& t : value.delta.additions) {
+    if (value.replacement.Insert(t)) ++value.inserted;
+  }
+  return value;
+}
+
+bool Engine::RunLets(const RequestPlan& plan, const fo::EvalContext& ctx,
+                     RequestState* state) {
+  if (plan.rules == nullptr) return true;
+  // Validated programs use distinct let targets, so a let never shadows a
+  // non-let relation's old value. Ungoverned requests never abort and skip
+  // the rollback copies.
+  for (const UpdateRule& rule : plan.rules->lets) {
+    RuleValue value = EvaluateRule(rule, /*is_let=*/true, ctx, *state);
+    state->Count(value, /*is_let=*/true);
+    if (value.path == RulePath::kSemiNaive) {
+      const std::string& base = value.plan->base;
+      const auto chained = state->let_provenance.find(base);
+      LetProvenance prov = chained != state->let_provenance.end()
+                               ? chained->second
+                               : LetProvenance{base, {}};
+      prov.ops.push_back(std::move(value.delta));
+      state->let_provenance[rule.target] = std::move(prov);
+    }
+    if (ctx.governor != nullptr) {
+      if (ctx.governor->stopped()) return false;
+      state->let_rollback.emplace_back(rule.target, data_.relation(rule.target));
+    }
+    data_.relation(rule.target) = std::move(value.replacement);
+  }
+  return true;
+}
+
+void Engine::StageUpdates(const RequestPlan& plan, const fo::EvalContext& ctx,
+                          RequestState* state) {
+  if (plan.rules == nullptr) return;
+  // Synchronous semantics makes the rules independent: each reads only the
+  // old structure (plus lets).
+  for (const UpdateRule& rule : plan.rules->updates) {
+    state->staged.push_back(EvaluateRule(rule, /*is_let=*/false, ctx, *state));
+    state->Count(state->staged.back(), /*is_let=*/false);
+  }
+}
+
+void Engine::Commit(const RequestPlan& plan, const relational::Request& request,
+                    RequestState* state) {
+  for (RuleValue& value : state->staged) {
+    relational::Relation& target = data_.relation(value.rule->target);
+    if (!value.in_place) {
+      target = std::move(value.replacement);
       continue;
     }
-    if (s.in_place_compose) {
-      for (const DeltaOps& op : s.compose_ops) {
-        for (const relational::Tuple& t : op.removals) {
-          if (target.Erase(t)) ++stats_.tuples_erased;
-        }
-        for (const relational::Tuple& t : op.additions) {
-          if (target.Insert(t)) ++stats_.tuples_inserted;
-        }
+    value.chain.push_back(std::move(value.delta));
+    for (const DeltaOps& op : value.chain) {
+      for (const relational::Tuple& t : op.removals) {
+        if (target.Erase(t)) ++stats_.tuples_erased;
+      }
+      for (const relational::Tuple& t : op.additions) {
+        if (target.Insert(t)) ++stats_.tuples_inserted;
       }
     }
-    for (const relational::Tuple& t : s.removals) {
-      if (target.Erase(t)) ++stats_.tuples_erased;
-    }
-    for (const relational::Tuple& t : s.additions) {
-      if (target.Insert(t)) ++stats_.tuples_inserted;
-    }
   }
-
-  // Mirror the raw input change into a same-named data symbol unless the
-  // program redefined it explicitly.
-  int mirror_index = -1;
-  switch (request.kind) {
-    case relational::RequestKind::kInsert:
-    case relational::RequestKind::kDelete: {
-      if (targeted.count(request.target) > 0) break;
-      int index = data_.vocabulary().RelationIndex(request.target);
-      if (index < 0) break;
-      relational::Relation& rel = data_.relation(index);
-      DYNFO_CHECK(rel.arity() == request.tuple.size());
-      if (request.kind == relational::RequestKind::kInsert) {
-        if (rel.Insert(request.tuple)) ++stats_.tuples_inserted;
-      } else {
-        if (rel.Erase(request.tuple)) ++stats_.tuples_erased;
-      }
-      mirror_index = index;
-      break;
-    }
-    case relational::RequestKind::kSetConstant: {
-      int index = data_.vocabulary().ConstantIndex(request.target);
-      if (index >= 0) data_.set_constant(index, request.value);
-      break;
-    }
-  }
-
+  CommitMirror(plan, request);
   // Commit boundary: re-run the backend cost model on everything this
   // request wrote, so backend choice is a deterministic function of the
   // committed state (same options + same history => byte-identical
   // snapshots, whichever paths the requests took).
-  if (backend_policy() != relational::BackendPolicy::kHashOnly) {
-    if (rules != nullptr) {
-      for (const UpdateRule& rule : rules->lets) {
-        ReapplyBackend(data_.vocabulary().RelationIndex(rule.target));
-      }
-    }
-    for (const Staged& s : staged) {
-      ReapplyBackend(data_.vocabulary().RelationIndex(s.rule->target));
-    }
-    if (mirror_index >= 0) ReapplyBackend(mirror_index);
+  if (backend_policy() == relational::BackendPolicy::kHashOnly || plan.rules == nullptr) {
+    return;
   }
-
-  stats_.commit_seconds += seconds_since(commit_start);
-
-  return core::Status();
+  for (const UpdateRule& rule : plan.rules->lets) {
+    ReapplyBackend(data_.vocabulary().RelationIndex(rule.target));
+  }
+  for (const UpdateRule& rule : plan.rules->updates) {
+    ReapplyBackend(data_.vocabulary().RelationIndex(rule.target));
+  }
 }
 
 std::string Engine::Snapshot() const {

@@ -32,11 +32,22 @@
 /// (DynProgram::ValidateRequest when governed), per-request core, and
 /// BatchReport; TryApply only adds the ungoverned dense-kernel fast path
 /// in front.
+///
+/// The per-request core (ApplyCore) is one Dyn-FO step in phases: the dense
+/// kernel attempt; lets, each committed at once so later rules read it
+/// (rolled back on a governed abort); staged updates, which read only the
+/// old structure plus lets; the abort point; one counter fold; and the
+/// commit. One evaluator (EvaluateRule) computes every let and update, and
+/// the commit lands each value by one of two strategies: swap in a new
+/// relation, or replay a delta in place. Where a request's raw change lands
+/// (its input mirror) is decided once per request class (RequestPlan) and
+/// shared with the dense path. See DESIGN.md §10–§11.
 
 #ifndef DYNFO_DYNFO_ENGINE_H_
 #define DYNFO_DYNFO_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -398,6 +409,14 @@ class Engine {
                  ///< the additions; the base may be another relation
   };
 
+  /// How the kDiff path tests stored target tuples against the keep-filter,
+  /// decided with the path by PlanFor.
+  enum class KeepTest {
+    kNone,      ///< keep ≡ true: nothing is removed
+    kPerTuple,  ///< quantifier-free: the naive evaluator checks each tuple
+    kSetWise,   ///< the algebra evaluator materializes the keep set once
+  };
+
   /// How a rule decomposes as `(base(x-bar) ∧ keep) ∨ additions`; see file
   /// comment. `base` is the rule's own target when the formula is
   /// target-preserving (the classic shape), otherwise any data relation
@@ -413,6 +432,7 @@ class Engine {
     /// when delta-safe.
     std::shared_ptr<const fo::DeltaProgram> removals;
     RulePath path = RulePath::kFull;
+    KeepTest keep_test = KeepTest::kNone;
   };
 
   /// One update rule lowered to a dense kernel program; part of a bundle.
@@ -422,38 +442,35 @@ class Engine {
     fo::DenseProgramPtr program;
   };
   /// A request class's update rules lowered as a unit. Eligible only when
-  /// the class has no lets, every update rule lowers, and every target is
-  /// dense-representable — the remaining per-request conditions (targets
-  /// currently dense-backed, no live indexes) are checked at Apply time.
+  /// the dense gates are on, the class has no lets, every update rule
+  /// lowers, and every target is dense-representable — the remaining
+  /// per-request conditions (targets currently dense-backed, no live
+  /// indexes) are checked at Apply time.
   struct DenseRuleBundle {
     bool eligible = false;
     std::vector<DenseRuleEntry> entries;
     std::vector<int> view_inputs;  ///< relations probed with slot arguments
-    int mirror_relation = -1;      ///< same-named input mirror, -1 if shadowed
-    int mirror_constant = -1;      ///< constant index for kSetConstant
   };
-  /// One-entry-per-request-kind memo for TryDenseApply's lookup chain
-  /// (target name → rules → bundle): workloads hammer the same few request
-  /// classes, so the two map walks almost always resolve to the previous
-  /// answer. Pointers alias this engine's program_/dense_rules_, so copies
-  /// reset to empty (the copied-from maps are not ours) and
-  /// BuildDenseBundles invalidates.
-  struct DenseLookupMemo {
-    DenseLookupMemo() = default;
-    DenseLookupMemo(const DenseLookupMemo&) {}
-    DenseLookupMemo& operator=(const DenseLookupMemo&) {
-      Clear();
-      return *this;
-    }
-    struct Entry {
-      std::string target;
-      const DenseRuleBundle* bundle = nullptr;  ///< null = memo slot empty
-    };
-    Entry by_kind[3];  ///< indexed by RequestKind
-    void Clear() {
-      for (Entry& entry : by_kind) entry = Entry();
-    }
+
+  /// How one request class — a request kind on one input symbol — runs,
+  /// decided once per program by PlanForRequest and shared by the dense and
+  /// the rule paths. It points only into the program, which engine copies
+  /// share, so a copied plan stays valid.
+  struct RequestPlan {
+    relational::RequestKind kind = relational::RequestKind::kInsert;
+    std::string target;                   ///< the input symbol's name
+    const RequestRules* rules = nullptr;  ///< null: the class has no rules
+    /// The input mirror: the data relation (insert/delete) or constant
+    /// (set) that receives the raw change; -1 when the data vocabulary has
+    /// no such symbol or an update rule of this class targets it.
+    int mirror = -1;
+    DenseRuleBundle dense;
   };
+
+  /// Per-request evaluation state and one rule's evaluated value, defined
+  /// in engine.cc.
+  struct RequestState;
+  struct RuleValue;
 
   /// Evaluates `formula` as a relation over `variables` through the naive
   /// reference when `naive` is set or the engine is configured naive, and
@@ -466,9 +483,20 @@ class Engine {
   /// (lets have no kDiff path): the one place a rule's path is decided.
   const DeltaPlan& PlanFor(const UpdateRule& rule, bool is_let);
 
+  /// The memoized plan of the request class (`kind`, `target`); classes
+  /// without rules are planned on first use.
+  const RequestPlan& PlanForRequest(relational::RequestKind kind,
+                                    const std::string& target);
+
   /// use_delta in kAlgebra mode: rules that run kFull count as fallbacks.
   bool delta_configured() const {
     return options_.eval_mode == EvalMode::kAlgebra && options_.use_delta;
+  }
+
+  /// The dense gates: a non-hash backend policy with compiled plans.
+  bool dense_configured() const {
+    return backend_policy() != relational::BackendPolicy::kHashOnly &&
+           options_.use_compiled_plans;
   }
 
   /// The apply contract shared by TryApply and TryApplyBatch: one governor
@@ -484,26 +512,54 @@ class Engine {
   /// silently stale, so it CHECK-fails instead.
   void CheckTrustedRequest(const relational::Request& request) const;
 
-  /// The per-request core of ApplyRequests: the governed dense path, lets,
-  /// staged evaluation, the abort point, and the commit. `governor` null =
-  /// ungoverned; non-null = governed under the CALLER's governor, which a
-  /// batch shares across all of its requests (one deadline/budget for the
-  /// whole batch). `naive` as in TryApply.
+  /// The per-request core of ApplyRequests, one Dyn-FO step in phases:
+  /// the dense attempt, RunLets, StageUpdates, the abort point, the counter
+  /// fold, and Commit. `governor` null = ungoverned; non-null = governed
+  /// under the CALLER's governor, which a batch shares across all of its
+  /// requests (one deadline/budget for the whole batch). `naive` as in
+  /// TryApply.
   core::Status ApplyCore(const relational::Request& request,
                          const core::ExecGovernor* governor, bool naive);
 
-  /// Lowers every request class's update rules to dense bundles (and the
-  /// boolean query); no-op unless the dense gates are on.
-  void BuildDenseBundles();
+  /// One rule's value on the path PlanFor chose (every rule kFull when
+  /// `state` is naive-pinned): the whole new value, or a delta with its
+  /// commit strategy.
+  RuleValue EvaluateRule(const UpdateRule& rule, bool is_let,
+                         const fo::EvalContext& ctx, const RequestState& state);
+
+  /// Temporaries: evaluates each let and commits it at once so later rules
+  /// read it, recording the governed rollback. False = the governor stopped.
+  bool RunLets(const RequestPlan& plan, const fo::EvalContext& ctx,
+               RequestState* state);
+
+  /// Evaluates every update rule against the pre-request state (plus lets)
+  /// into `state` without touching data_.
+  void StageUpdates(const RequestPlan& plan, const fo::EvalContext& ctx,
+                    RequestState* state);
+
+  /// Past the abort point: lands the staged values and the input mirror,
+  /// then re-runs the backend cost model on every rule target.
+  void Commit(const RequestPlan& plan, const relational::Request& request,
+              RequestState* state);
+
+  /// Writes the raw input change into the plan's mirror symbol (shared by
+  /// the dense and the rule paths).
+  void CommitMirror(const RequestPlan& plan, const relational::Request& request);
+
+  /// Plans every request class that has rules (lowering dense bundles under
+  /// the dense gates) and the boolean query's dense form.
+  void BuildRequestPlans();
 
   enum class DenseApplyOutcome {
-    kIneligible,  ///< conditions not met; caller runs the legacy path
+    kIneligible,  ///< conditions not met; caller runs the rule path
     kApplied,     ///< committed (stats updated); caller returns OK
     kAborted,     ///< governor stopped mid-kernel; nothing was mutated
   };
   /// The whole-request dense kernel path: executes every lowered update rule
-  /// into exec-local planes, then commits them as whole-plane rewrites.
+  /// of `plan`'s bundle into exec-local planes, then commits them as
+  /// whole-plane rewrites.
   DenseApplyOutcome TryDenseApply(const relational::Request& request,
+                                  const RequestPlan& plan,
                                   const core::ExecGovernor* governor);
 
   /// Re-runs the backend cost model on one relation after a commit-point
@@ -529,10 +585,11 @@ class Engine {
   relational::Structure data_;
   fo::AlgebraEvaluator algebra_;
   std::map<const UpdateRule*, DeltaPlan> plans_;
-  /// Dense bundles keyed by the program's RequestRules objects (stable for
-  /// the program's lifetime; invalidated wherever plans_ is).
-  std::map<const RequestRules*, DenseRuleBundle> dense_rules_;
-  DenseLookupMemo dense_memo_;
+  /// Request-class plans, rebuilt with the compiled state. A program has a
+  /// handful of classes, so PlanForRequest scans them: cheaper than a tree
+  /// walk on the dense path's sub-microsecond budget. A deque keeps
+  /// references valid while classes without rules are added on first use.
+  std::deque<RequestPlan> request_plans_;
   fo::DenseProgramPtr dense_query_;  ///< bool_query lowered to rank 0
   /// When the lowered bool query is a single slot-free nullary atom (PARITY's
   /// `b`), the relation index whose stored bit IS the answer; -1 otherwise.

@@ -5,16 +5,15 @@
 #include <vector>
 
 #include "core/text.h"
+#include "dynfo/wire.h"
 #include "relational/serialize.h"
 
 namespace dynfo::dyn {
 
 namespace {
 
-using relational::Element;
 using relational::Request;
 using relational::RequestKind;
-using relational::Tuple;
 using relational::Vocabulary;
 
 /// "ins E 1 2" / "del E 1 2" / "set s 3" — the request part of a record
@@ -41,47 +40,22 @@ std::string RecordBody(uint64_t seq, const Request& request) {
   return std::to_string(seq) + " " + RequestBody(request);
 }
 
-/// Builds one request from its parsed tokens, validating target/arity/
-/// universe exactly like the single-record path always has.
-bool BuildRequest(const std::string& keyword, const std::string& target,
-                  const std::vector<uint64_t>& values, const Vocabulary& input,
+/// Parses one request ("ins E 1 2" / "del E 1 2" / "set s 3") with the
+/// grammar the server and the CLI share, then validates it against the
+/// input vocabulary and universe.
+bool ParseRequest(const std::vector<std::string>& words, const Vocabulary& input,
                   size_t universe_size, Request* out, std::string* error) {
-  for (uint64_t value : values) {
-    if (value >= universe_size) {
-      *error = "element " + std::to_string(value) + " outside universe";
-      return false;
-    }
+  if (words.empty()) {
+    *error = "empty request";
+    return false;
   }
-  if (keyword == "ins" || keyword == "del") {
-    const int index = input.RelationIndex(target);
-    if (index < 0) {
-      *error = "unknown relation " + target;
-      return false;
-    }
-    const int arity = input.relation(index).arity;
-    if (values.size() != static_cast<size_t>(arity)) {
-      *error = "arity mismatch for " + target;
-      return false;
-    }
-    Tuple t;
-    for (uint64_t value : values) t = t.Append(static_cast<Element>(value));
-    *out = keyword == "ins" ? Request::Insert(target, t) : Request::Delete(target, t);
-    return true;
+  if (!wire::ParseMutation(words, out, error)) {
+    if (error->empty()) *error = "unknown request keyword " + words[0];
+    return false;
   }
-  if (keyword == "set") {
-    if (input.ConstantIndex(target) < 0) {
-      *error = "unknown constant " + target;
-      return false;
-    }
-    if (values.size() != 1) {
-      *error = "set needs exactly one value";
-      return false;
-    }
-    *out = Request::SetConstant(target, static_cast<Element>(values[0]));
-    return true;
-  }
-  *error = "unknown request keyword " + keyword;
-  return false;
+  const core::Status valid = relational::ValidateRequest(input, universe_size, *out);
+  if (!valid.ok()) *error = valid.message();
+  return valid.ok();
 }
 
 /// Parses one record line (without trailing '\n'), appending its request(s)
@@ -107,14 +81,18 @@ bool ParseRecord(const std::string& line, uint64_t expected_seq,
     return false;
   }
 
-  std::istringstream words(body);
-  std::string seq_token, keyword;
-  if (!(words >> seq_token >> keyword)) {
-    *error = "record too short";
-    return false;
+  // "<seq> <request>", or a group commit "<seq> batch <count> | <request> |
+  // <request> ...".
+  std::vector<std::string> parts;
+  for (size_t start = 0;;) {
+    const size_t bar = body.find(" | ", start);
+    parts.push_back(body.substr(start, bar == std::string::npos ? bar : bar - start));
+    if (bar == std::string::npos) break;
+    start = bar + 3;
   }
+  std::vector<std::string> head = wire::SplitWords(parts[0]);
   uint64_t seq = 0;
-  if (!core::ParseU64(seq_token, &seq)) {
+  if (head.empty() || !core::ParseU64(head[0], &seq)) {
     *error = "bad sequence number";
     return false;
   }
@@ -123,84 +101,29 @@ bool ParseRecord(const std::string& line, uint64_t expected_seq,
              std::to_string(seq) + "): a record was dropped or duplicated";
     return false;
   }
-
-  if (keyword == "batch") {
-    // Group-commit record: "<seq> batch <count> | <req> | <req> ...". The
-    // sub-request arity is known from the vocabulary, so each sub-record's
-    // token count is exact and a '|' separator must follow it (or the end).
-    std::string count_token;
+  head.erase(head.begin());
+  std::vector<std::vector<std::string>> requests;
+  if (!head.empty() && head[0] == "batch") {
     uint64_t count = 0;
-    if (!(words >> count_token) || !core::ParseU64(count_token, &count) ||
-        count == 0) {
+    if (head.size() != 2 || !core::ParseU64(head[1], &count) || count == 0 ||
+        count != parts.size() - 1) {
       *error = "batch record with bad count";
       return false;
     }
-    relational::RequestSequence batch;
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string sep, sub_keyword, sub_target;
-      if (!(words >> sep >> sub_keyword >> sub_target) || sep != "|") {
-        *error = "malformed batch sub-record";
-        return false;
-      }
-      size_t num_values = 1;
-      if (sub_keyword == "ins" || sub_keyword == "del") {
-        const int index = input.RelationIndex(sub_target);
-        if (index < 0) {
-          *error = "unknown relation " + sub_target;
-          return false;
-        }
-        num_values = static_cast<size_t>(input.relation(index).arity);
-      } else if (sub_keyword != "set") {
-        *error = "unknown request keyword " + sub_keyword;
-        return false;
-      }
-      std::vector<uint64_t> values;
-      for (size_t v = 0; v < num_values; ++v) {
-        std::string token;
-        uint64_t value = 0;
-        if (!(words >> token) || !core::ParseU64(token, &value)) {
-          *error = "malformed numeric field in batch sub-record";
-          return false;
-        }
-        values.push_back(value);
-      }
-      Request request = Request::SetConstant("", 0);
-      if (!BuildRequest(sub_keyword, sub_target, values, input, universe_size,
-                        &request, error)) {
-        return false;
-      }
-      batch.push_back(request);
+    for (size_t i = 1; i < parts.size(); ++i) {
+      requests.push_back(wire::SplitWords(parts[i]));
     }
-    std::string extra;
-    if (words >> extra) {
-      *error = "trailing tokens after batch record";
-      return false;
-    }
-    out->insert(out->end(), batch.begin(), batch.end());
-    return true;
-  }
-
-  std::string target;
-  if (!(words >> target)) {
-    *error = "record too short";
+  } else if (parts.size() == 1) {
+    requests.push_back(std::move(head));
+  } else {
+    *error = "request separator in a plain record";
     return false;
   }
-  std::vector<uint64_t> values;
-  std::string token;
-  while (words >> token) {
-    uint64_t value = 0;
-    if (!core::ParseU64(token, &value)) {
-      *error = "malformed numeric field '" + token + "'";
-      return false;
-    }
-    values.push_back(value);
+  relational::RequestSequence parsed(requests.size(), Request::SetConstant("", 0));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!ParseRequest(requests[i], input, universe_size, &parsed[i], error)) return false;
   }
-  Request request = Request::SetConstant("", 0);
-  if (!BuildRequest(keyword, target, values, input, universe_size, &request,
-                    error)) {
-    return false;
-  }
-  out->push_back(request);
+  out->insert(out->end(), parsed.begin(), parsed.end());
   return true;
 }
 
@@ -628,28 +551,12 @@ core::Result<DurableStore> DurableStore::Open(const std::string& dir,
   return store;
 }
 
-core::Status DurableStore::Append(const Request& request) {
-  DYNFO_CHECK(active_.has_value()) << "Append on a moved-from DurableStore";
-  const std::string record = FormatJournalRecord(next_seq_, request);
-  core::Status status = active_->Append(record);
-  if (!status.ok()) return status;
-  if (options_.fsync_each_append) {
-    status = active_->Fsync();
-    if (!status.ok()) return status;
-    ++counters_.fsyncs;
-  }
-  ++next_seq_;
-  ++active_records_;
-  ++counters_.appends;
-  counters_.bytes_appended += record.size();
-  return core::Status();
-}
-
-core::Status DurableStore::AppendBatch(std::span<const Request> requests) {
+core::Status DurableStore::Append(std::span<const Request> requests) {
   if (requests.empty()) return core::Status();
-  if (requests.size() == 1) return Append(requests[0]);
-  DYNFO_CHECK(active_.has_value()) << "AppendBatch on a moved-from DurableStore";
-  const std::string record = FormatBatchRecord(next_seq_, requests);
+  DYNFO_CHECK(active_.has_value()) << "Append on a moved-from DurableStore";
+  const bool batch = requests.size() > 1;
+  const std::string record = batch ? FormatBatchRecord(next_seq_, requests)
+                                   : FormatJournalRecord(next_seq_, requests[0]);
   core::Status status = active_->Append(record);
   if (!status.ok()) return status;
   if (options_.fsync_each_append) {
@@ -660,7 +567,7 @@ core::Status DurableStore::AppendBatch(std::span<const Request> requests) {
   next_seq_ += requests.size();
   active_records_ += requests.size();
   counters_.appends += requests.size();
-  ++counters_.batch_appends;
+  if (batch) ++counters_.batch_appends;
   counters_.bytes_appended += record.size();
   return core::Status();
 }

@@ -167,18 +167,15 @@ class DurableStore {
   DurableStore(DurableStore&&) = default;
   DurableStore& operator=(DurableStore&&) = default;
 
-  /// Appends one applied request to the active segment (fsynced per
-  /// options). After a true return of checkpoint_due(), call Checkpoint
-  /// before further appends to keep the replay bound.
-  core::Status Append(const relational::Request& request);
-
-  /// Group commit: appends the whole batch as ONE segment record with a
-  /// single write and a single fsync, advancing next_seq() by the batch
-  /// size — the per-request fsync cost becomes O(1) per batch. A crash
-  /// mid-append drops the whole batch (single-line torn-tail contract),
-  /// never a prefix of it. Batches of one fall back to a plain record;
-  /// empty is a no-op. checkpoint_due() may overshoot by one batch.
-  core::Status AppendBatch(std::span<const relational::Request> requests);
+  /// Appends applied requests to the active segment as ONE record with a
+  /// single write and a single fsync (per options), advancing next_seq() by
+  /// their count: a plain record for one request, a group-commit `batch`
+  /// record for more, so the per-request fsync cost becomes O(1) per batch.
+  /// A crash mid-append drops the whole record (single-line torn-tail
+  /// contract), never a prefix of a batch. Empty is a no-op. After a true
+  /// return of checkpoint_due(), call Checkpoint before further appends to
+  /// keep the replay bound; it may overshoot by one batch.
+  core::Status Append(std::span<const relational::Request> requests);
 
   /// The active segment has reached records_per_segment.
   bool checkpoint_due() const {

@@ -165,7 +165,7 @@ core::Status GuardedEngine::CommitApplied(std::span<const relational::Request> a
   if (store_.has_value()) {
     // An append failure means the caller never gets an OK and recovery
     // serves the pre-request state.
-    core::Status appended = store_->AppendBatch(applied);
+    core::Status appended = store_->Append(applied);
     if (!appended.ok()) return appended;
   }
   for (const relational::Request& request : applied) {
@@ -186,13 +186,6 @@ core::Status GuardedEngine::CommitApplied(std::span<const relational::Request> a
     return CheckNow();
   }
   return core::Status();
-}
-
-core::Status GuardedEngine::ApplyDefinable(const DefinableChange& change,
-                                           BatchReport* report) {
-  const relational::RequestSequence requests =
-      engine_->MaterializeDefinableChange(change);
-  return ApplyBatch(requests, report);
 }
 
 core::Status GuardedEngine::GovernedApply(const relational::Request& request) {

@@ -154,13 +154,6 @@ class GuardedEngine {
   core::Status ApplyBatch(std::span<const relational::Request> requests,
                           BatchReport* report = nullptr);
 
-  /// Materializes `change`'s FO-definable tuple set against the CURRENT
-  /// engine state and applies the expansion through ApplyBatch. The journal
-  /// records the expanded requests, so replay does not re-evaluate the
-  /// formula (the structure it was defined over is gone by then).
-  core::Status ApplyDefinable(const DefinableChange& change,
-                              BatchReport* report = nullptr);
-
   /// Runs the corruption check immediately; recovers on violation.
   core::Status CheckNow();
 

@@ -190,40 +190,6 @@ core::Status EngineService::ApplyBatch(SessionId session,
   return applied;
 }
 
-core::Status EngineService::ApplyDefinable(SessionId session,
-                                           const DefinableChange& change,
-                                           BatchReport* report) {
-  BatchReport local;
-  if (report == nullptr) report = &local;
-  const ApplyGovernance governance = SessionGovernance(session);
-  core::Status admitted = AdmitWriter(governance);
-  if (!admitted.ok()) {
-    *report = BatchReport{};
-    report->code = admitted.code();
-    return admitted;
-  }
-  SetWriteGovernanceLocked(governance);
-  // Materialize under the writer lock (the change set is defined over the
-  // CURRENT state) and push the expansion through the batched pipeline —
-  // the same move GuardedEngine::ApplyDefinable makes, unrolled here so the
-  // applied history records the expanded single-tuple requests.
-  relational::RequestSequence expanded =
-      guarded_.engine().MaterializeDefinableChange(change);
-  core::Status applied = guarded_.ApplyBatch(expanded, report);
-  if (report->applied > 0) {
-    writes_applied_.fetch_add(report->applied, std::memory_order_relaxed);
-    if (options_.record_applied_history) {
-      applied_history_.insert(applied_history_.end(), expanded.begin(),
-                              expanded.begin() + report->applied);
-    }
-  }
-  if (!applied.ok()) {
-    write_calls_failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  FinishWrite(/*publish=*/report->applied > 0);
-  return applied;
-}
-
 core::Status EngineService::Restore(const std::string& snapshot) {
   writer_mutex_.lock();
   core::Status restored = guarded_.mutable_engine()->Restore(snapshot);

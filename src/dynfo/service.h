@@ -134,8 +134,6 @@ class EngineService {
   core::Status ApplyBatch(SessionId session,
                           std::span<const relational::Request> requests,
                           BatchReport* report = nullptr);
-  core::Status ApplyDefinable(SessionId session, const DefinableChange& change,
-                              BatchReport* report = nullptr);
 
   /// Writer-path state replacement: Engine::Restore under the writer lock,
   /// then a republish so subsequent readers pin the restored state.

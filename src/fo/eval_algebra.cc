@@ -1,36 +1,8 @@
 #include "fo/eval_algebra.h"
 
-#include <algorithm>
-
 #include "core/cancel.h"
 
 namespace dynfo::fo {
-
-namespace {
-
-bool Subset(const std::vector<std::string>& small, const std::vector<std::string>& big) {
-  for (const std::string& s : small) {
-    if (std::find(big.begin(), big.end(), s) == big.end()) return false;
-  }
-  return true;
-}
-
-std::vector<std::string> SetMinus(const std::vector<std::string>& a,
-                                  const std::vector<std::string>& b) {
-  std::vector<std::string> out;
-  for (const std::string& s : a) {
-    if (std::find(b.begin(), b.end(), s) == b.end()) out.push_back(s);
-  }
-  return out;
-}
-
-/// Strided governor poll for sequential loops (see plan_exec.cc twin).
-bool StridedStop(const EvalContext& ctx, size_t* counter) {
-  if (ctx.governor == nullptr) return false;
-  return ((*counter)++ % core::kGovernorStride) == 0 && ctx.ShouldStop();
-}
-
-}  // namespace
 
 NamedRelation AlgebraEvaluator::Sat(const FormulaPtr& formula,
                                     const EvalContext& ctx) const {
@@ -126,7 +98,7 @@ relational::Relation AlgebraEvaluator::EvaluateAsRelation(
   relational::Relation out(arity);
   size_t polls = 0;
   for (const Row& row : sat.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     relational::Tuple t;
     for (relational::Element e : row) t = t.Append(e);
     out.Insert(t);

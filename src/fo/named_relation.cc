@@ -20,13 +20,6 @@ Row ProjectRow(const Row& row, const std::vector<int>& positions) {
   return out;
 }
 
-/// Strided governor poll: once every kGovernorStride rows (and on the
-/// first), so cancellation latency stays bounded without a per-row atomic.
-bool StridedStop(const core::ExecGovernor* governor, size_t* counter) {
-  if (governor == nullptr) return false;
-  return ((*counter)++ % core::kGovernorStride) == 0 && governor->ShouldStop();
-}
-
 }  // namespace
 
 NamedRelation::NamedRelation(std::vector<std::string> columns)
@@ -80,7 +73,7 @@ NamedRelation NamedRelation::Join(const NamedRelation& other,
 
   size_t polls = 0;
   for (const Row& row : rows_) {
-    if (StridedStop(governor, &polls)) break;
+    if (core::StridedStop(governor, &polls)) break;
     auto it = index.find(ProjectRow(row, left_key));
     if (it == index.end()) continue;
     for (const Row* match : it->second) {
@@ -111,7 +104,7 @@ NamedRelation NamedRelation::SemiJoin(const NamedRelation& other, bool anti,
   NamedRelation out(columns_);
   size_t polls = 0;
   for (const Row& row : rows_) {
-    if (StridedStop(governor, &polls)) break;
+    if (core::StridedStop(governor, &polls)) break;
     bool match = keys.find(ProjectRow(row, left_key)) != keys.end();
     if (match != anti) out.rows_.insert(row);
   }
@@ -133,7 +126,7 @@ NamedRelation NamedRelation::ComplementWithin(size_t n,
   Row row(k, 0);
   size_t polls = 0;
   for (uint64_t code = 0; code < total; ++code) {
-    if (StridedStop(governor, &polls)) break;
+    if (core::StridedStop(governor, &polls)) break;
     if (rows_.find(row) == rows_.end()) out.rows_.insert(row);
     int i = k - 1;
     while (i >= 0 && row[i] + 1 == n) {
@@ -158,11 +151,11 @@ NamedRelation NamedRelation::PadWithUniverse(const std::vector<std::string>& new
   const int extra = static_cast<int>(new_columns.size());
   size_t polls = 0;
   for (const Row& base : rows_) {
-    if (StridedStop(governor, &polls)) break;
+    if (core::StridedStop(governor, &polls)) break;
     Row row = base;
     row.resize(base.size() + extra, 0);
     while (true) {
-      if (StridedStop(governor, &polls)) break;
+      if (core::StridedStop(governor, &polls)) break;
       out.rows_.insert(row);
       int i = static_cast<int>(row.size()) - 1;
       while (i >= static_cast<int>(base.size()) && row[i] + 1 == n) {

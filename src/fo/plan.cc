@@ -8,8 +8,6 @@
 
 namespace dynfo::fo {
 
-namespace {
-
 bool IsQuantifierFree(const Formula& f) {
   if (f.kind() == FormulaKind::kExists || f.kind() == FormulaKind::kForall) return false;
   for (const FormulaPtr& child : f.children()) {
@@ -33,6 +31,8 @@ std::vector<std::string> SetMinus(const std::vector<std::string>& a,
   }
   return out;
 }
+
+namespace {
 
 int IndexOf(const std::vector<std::string>& names, const std::string& name) {
   for (size_t i = 0; i < names.size(); ++i) {

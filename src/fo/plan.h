@@ -248,6 +248,16 @@ struct DeltaProgram {
   std::vector<int> full_tuple_sources;
 };
 
+/// True when `f` contains no quantifier.
+bool IsQuantifierFree(const Formula& f);
+
+/// Whether every name in `small` occurs in `big`.
+bool Subset(const std::vector<std::string>& small, const std::vector<std::string>& big);
+
+/// The names of `a` that are not in `b`, in `a`'s order.
+std::vector<std::string> SetMinus(const std::vector<std::string>& a,
+                                  const std::vector<std::string>& b);
+
 /// Compiles the removal side of the delta rule
 /// `R'(x-bar) = (R(x-bar) ∧ keep) ∨ additions` with x-bar = `tuple_variables`
 /// in order. `not_keep` must be ¬keep in negation normal form (or null when

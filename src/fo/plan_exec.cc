@@ -30,16 +30,6 @@ void Count(std::atomic<uint64_t>& counter, uint64_t delta = 1) {
   counter.fetch_add(delta, std::memory_order_relaxed);
 }
 
-/// Strided governor poll for operator loops: polls once every
-/// kGovernorStride iterations (and on the first), so cancellation latency
-/// stays bounded without a per-row atomic. Usage:
-///   size_t polls = 0;
-///   for (...) { if (StridedStop(ctx, &polls)) break; ... }
-bool StridedStop(const EvalContext& ctx, size_t* counter) {
-  if (ctx.governor == nullptr) return false;
-  return ((*counter)++ % core::kGovernorStride) == 0 && ctx.ShouldStop();
-}
-
 /// Ground key-part values for one execution (constants, parameters, min/max
 /// resolve against the context; column-sourced parts are filled per row).
 std::vector<relational::Element> ResolveGroundKey(const AtomAccess& access,
@@ -97,7 +87,7 @@ NamedRelation ExecuteScan(const AtomAccess& access, const EvalContext& ctx,
 
   size_t polls = 0;
   for (const relational::Tuple& t : rel) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     bool match = true;
     for (size_t i = 0; i < access.key.size() && match; ++i) {
       match = t[access.key[i].position] == ground[i];
@@ -133,7 +123,7 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
 
   size_t polls = 0;
   for (const Row& row : acc.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     relational::Tuple key;
     for (size_t i = 0; i < access.key.size(); ++i) {
       const int column = access.key[i].source_column;
@@ -159,7 +149,7 @@ NamedRelation ExecuteFilterRows(const NamedRelation& acc, const ConjStep& step,
 
   size_t polls = 0;
   for (const Row& row : acc.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     Env env = EnvFromRow(acc.columns(), row);
     if (NaiveEvaluator::Holds(*step.formula, ctx, &env)) out.AddRow(row);
   }
@@ -181,7 +171,7 @@ NamedRelation ExecuteEqExtend(const NamedRelation& acc, const ConjStep& step,
   }
   size_t polls = 0;
   for (const Row& row : acc.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     Row extended = row;
     extended.push_back(step.eq_from_column ? row[step.eq_source_column] : ground);
     out.AddRow(std::move(extended));
@@ -201,7 +191,7 @@ NamedRelation ExecuteFilterExtend(const NamedRelation& acc, const ConjStep& step
 
   size_t polls = 0;
   for (const Row& row : acc.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     Env env = EnvFromRow(acc.columns(), row);
     env.Push(step.var, 0);
     for (size_t v = 0; v < n; ++v) {
@@ -269,7 +259,7 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
   std::vector<relational::Element> values;
   size_t polls = 0;
   for (const Row& row : acc.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     values.clear();
     for (const BranchState& state : states) {
       const ExtendBranch& branch = *state.branch;
@@ -404,7 +394,7 @@ NamedRelation ExecuteNumeric(const Plan& plan, const EvalContext& ctx) {
   NamedRelation out(plan.columns);
   size_t polls = 0;
   for (size_t a = 0; a < n; ++a) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     for (size_t b = 0; b < n; ++b) {
       if (holds(static_cast<relational::Element>(a),
                 static_cast<relational::Element>(b))) {
@@ -430,7 +420,7 @@ NamedRelation ExecuteUnion(const Plan& plan, const EvalContext& ctx,
     if (pads > 0) Count(stats->pads);
     if (pads == 0) {
       for (const Row& row : sat.rows()) {
-        if (StridedStop(ctx, &polls)) break;
+        if (core::StridedStop(ctx.governor, &polls)) break;
         Row mapped;
         mapped.reserve(sources.size());
         for (int s : sources) mapped.push_back(row[s]);
@@ -442,12 +432,12 @@ NamedRelation ExecuteUnion(const Plan& plan, const EvalContext& ctx,
     if (n == 0) continue;  // padding over an empty universe yields nothing
     std::vector<relational::Element> pad(pads, 0);
     for (const Row& row : sat.rows()) {
-      if (StridedStop(ctx, &polls)) break;
+      if (core::StridedStop(ctx.governor, &polls)) break;
       std::fill(pad.begin(), pad.end(), 0);
       while (true) {
         // The pad odometer emits n^pads rows per input row, so the poll
         // must live inside the odometer, not just on the outer row loop.
-        if (StridedStop(ctx, &polls)) break;
+        if (core::StridedStop(ctx.governor, &polls)) break;
         Row mapped;
         mapped.reserve(sources.size());
         for (int s : sources) {
@@ -474,7 +464,7 @@ NamedRelation ExecuteProject(const Plan& plan, const EvalContext& ctx,
   NamedRelation out(plan.columns);
   size_t polls = 0;
   for (const Row& row : sat.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     Row projected;
     projected.reserve(plan.project_positions.size());
     for (int p : plan.project_positions) projected.push_back(row[p]);
@@ -497,7 +487,7 @@ NamedRelation ExecuteForallGroup(const Plan& plan, const EvalContext& ctx,
   std::unordered_map<Row, uint64_t, RowHash> counts;
   size_t polls = 0;
   for (const Row& row : sat.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     Row key;
     key.reserve(plan.keep_positions.size());
     for (int p : plan.keep_positions) key.push_back(row[p]);
@@ -560,7 +550,7 @@ std::vector<relational::Tuple> ExecuteDeltaRemovals(const DeltaProgram& program,
     // tuples, so a membership check suffices and no duplicates arise.
     size_t polls = 0;
     for (const Row& row : rows.rows()) {
-      if (StridedStop(ctx, &polls)) break;
+      if (core::StridedStop(ctx.governor, &polls)) break;
       relational::Tuple t;
       for (int c : program.full_tuple_sources) t = t.Append(row[c]);
       if (base.Contains(t)) out.push_back(t);
@@ -585,7 +575,7 @@ std::vector<relational::Tuple> ExecuteDeltaRemovals(const DeltaProgram& program,
   if (built) Count(stats->index_builds);
   size_t polls = 0;
   for (const Row& row : rows.rows()) {
-    if (StridedStop(ctx, &polls)) break;
+    if (core::StridedStop(ctx.governor, &polls)) break;
     relational::Tuple key;
     for (int c : program.key_source_columns) key = key.Append(row[c]);
     Count(stats->index_probes);

@@ -134,7 +134,7 @@ TEST(DurableIoTest, TruncateAndRemoveDurable) {
 void DriveStore(DurableStore* store, const RequestSequence& requests,
                 std::string* latest_full, std::string* latest_delta) {
   for (const Request& request : requests) {
-    ASSERT_TRUE(store->Append(request).ok());
+    ASSERT_TRUE(store->Append({&request, 1}).ok());
     if (store->checkpoint_due()) {
       const bool full = store->full_due();
       const std::string blob =
@@ -221,7 +221,7 @@ TEST(DurableStoreTest, AppendsAfterReviveContinueTheSequence) {
         DurableStore::Create(dir, "reach_u", 8, "full@0", 0, options);
     ASSERT_TRUE(created.ok());
     DurableStore store = std::move(created).value();
-    for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(store.Append(requests[i]).ok());
+    for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(store.Append({&requests[i], 1}).ok());
   }
   {
     core::Result<DurableStore> opened =
@@ -230,7 +230,7 @@ TEST(DurableStoreTest, AppendsAfterReviveContinueTheSequence) {
     DurableStore store = std::move(opened).value();
     EXPECT_EQ(store.next_seq(), 3u);
     for (size_t i = 3; i < requests.size(); ++i) {
-      ASSERT_TRUE(store.Append(requests[i]).ok());
+      ASSERT_TRUE(store.Append({&requests[i], 1}).ok());
       if (store.checkpoint_due()) {
         ASSERT_TRUE(store.Checkpoint("delta@" + std::to_string(store.next_seq()),
                                      false)
@@ -284,7 +284,7 @@ TEST(DurableStoreTest, TornActiveSegmentTailIsTruncatedOnOpen) {
     ASSERT_TRUE(created.ok());
     DurableStore store = std::move(created).value();
     for (const Request& request : requests) {
-      ASSERT_TRUE(store.Append(request).ok());
+      ASSERT_TRUE(store.Append({&request, 1}).ok());
     }
   }
   // Tear the final record: chop a few bytes off the active segment.
@@ -301,7 +301,7 @@ TEST(DurableStoreTest, TornActiveSegmentTailIsTruncatedOnOpen) {
   EXPECT_EQ(store.recovered().replay.size(), requests.size() - 1);
   EXPECT_EQ(store.next_seq(), requests.size() - 1);
   // The torn bytes are physically gone and the sequence resumes cleanly.
-  ASSERT_TRUE(store.Append(requests.back()).ok());
+  ASSERT_TRUE(store.Append({&requests.back(), 1}).ok());
   EXPECT_EQ(store.next_seq(), requests.size());
   RemoveTree(dir);
 }
@@ -317,7 +317,7 @@ TEST(DurableStoreTest, NonDurableModeSkipsPerAppendFsync) {
   DurableStore store = std::move(created).value();
   const RequestSequence requests = ReachWorkload(8, 5, 6);
   for (const Request& request : requests) {
-    ASSERT_TRUE(store.Append(request).ok());
+    ASSERT_TRUE(store.Append({&request, 1}).ok());
   }
   EXPECT_EQ(store.counters().appends, requests.size());
   EXPECT_EQ(store.counters().fsyncs, 0u);
@@ -484,7 +484,7 @@ TEST(DurabilityFuzzTest, CorruptManifestFailsOpenNotSilentReplay) {
       ASSERT_TRUE(created.ok());
       DurableStore store = std::move(created).value();
       for (const Request& request : requests) {
-        ASSERT_TRUE(store.Append(request).ok());
+        ASSERT_TRUE(store.Append({&request, 1}).ok());
       }
     }
     core::Result<std::string> manifest =

@@ -126,7 +126,7 @@ TEST(JournalTest, TornBatchRecordDropsWholeBatchNotAPrefix) {
 
 TEST(JournalTest, MalformedBatchRecordsAreRejected) {
   auto reject = [&](const std::string& body, const std::string& why) {
-    // Recompute the real checksum so the failure exercises batch parsing,
+    // Recompute the real checksum so the failure exercises record parsing,
     // not checksum verification. FormatBatchRecord is unusable here (it
     // CHECKs on well-formed input), so build the line by hand.
     const std::string line = body + " c=" + core::HexU64(core::Fnv1a64(body)) + "\n";
@@ -144,6 +144,7 @@ TEST(JournalTest, MalformedBatchRecordsAreRejected) {
   reject("40 batch 1 | ins E 0 99", "out-of-universe element in sub-record");
   reject("40 batch 0", "empty batch");
   reject("40 batch x | ins E 0 1", "non-numeric count");
+  reject("40 ins E 0 1 2 3 4", "plain record wider than Tuple::kMaxArity");
 }
 
 TEST(JournalTest, InteriorDamageIsAHardError) {

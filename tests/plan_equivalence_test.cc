@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -221,6 +222,7 @@ struct EngineCase {
   std::shared_ptr<const dyn::DynProgram> program;
   relational::RequestSequence requests;
   size_t universe;
+  std::function<void(dyn::Engine*)> post_init = nullptr;  ///< may be null
 };
 
 std::vector<EngineCase> EngineCases() {
@@ -260,11 +262,23 @@ void ExpectIndexesConsistent(const relational::Structure& data,
 }
 
 TEST(PlanEquivalence, EngineSequencesIdenticalUnderAllGateCombos) {
-  for (const EngineCase& test_case : EngineCases()) {
+  // Every registry program too: without indexes, update rules whose base is
+  // their own target take the diff scan path.
+  std::vector<EngineCase> cases = EngineCases();
+  for (const programs::ProgramScenario& scenario : programs::AllScenarios()) {
+    for (uint64_t seed : {1, 2, 3}) {
+      const size_t n = scenario.default_universe;
+      cases.push_back({scenario.name + " seed " + std::to_string(seed),
+                       scenario.make_program(), scenario.make_workload(n, seed), n,
+                       scenario.post_init});
+    }
+  }
+  for (const EngineCase& test_case : cases) {
     dyn::EngineOptions naive_options;
     naive_options.eval_mode = dyn::EvalMode::kNaive;
     naive_options.use_delta = false;
     dyn::Engine naive(test_case.program, test_case.universe, naive_options);
+    if (test_case.post_init) test_case.post_init(&naive);
 
     std::vector<std::unique_ptr<dyn::Engine>> engines;
     for (const GateCombo& combo : kGateCombos) {
@@ -273,6 +287,7 @@ TEST(PlanEquivalence, EngineSequencesIdenticalUnderAllGateCombos) {
       options.use_indexes = combo.use_indexes;
       engines.push_back(
           std::make_unique<dyn::Engine>(test_case.program, test_case.universe, options));
+      if (test_case.post_init) test_case.post_init(engines.back().get());
     }
 
     size_t step = 0;

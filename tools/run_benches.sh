@@ -76,8 +76,7 @@ cache_build_type() {
 
 if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   echo "== configuring $BUILD_DIR (Release -O2)"
-  cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
-    -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
+  cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 fi
 BUILD_TYPE="$(cache_build_type "$BUILD_DIR")"
 case "$BUILD_TYPE" in
