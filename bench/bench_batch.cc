@@ -84,10 +84,10 @@ void RunBatchReplay(benchmark::State& state, const BatchCase& bcase) {
   options.check_every = 0;  // no oracle/invariant: measure the commit path
   dyn::GuardedEngine session(bcase.program(), bcase.n, /*oracle=*/nullptr,
                              /*invariant=*/nullptr, options);
-  dyn::DurabilityOptions durability;
+  dyn::DurableStoreOptions durability;
   // One giant segment: no rotation and no checkpoint inside the timed
   // region, so the measurement isolates group commit vs per-request fsync.
-  durability.store.records_per_segment = uint64_t{1} << 30;
+  durability.records_per_segment = uint64_t{1} << 30;
   core::Status attached = session.AttachDurability(dir, durability);
   DYNFO_CHECK(attached.ok()) << attached.ToString();
 

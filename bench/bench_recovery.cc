@@ -310,7 +310,7 @@ dyn::GuardedEngineOptions PureOptions() {
 size_t RunDurableSession(std::shared_ptr<const dyn::DynProgram> program,
                          size_t n, const relational::RequestSequence& requests,
                          const std::string& dir,
-                         const dyn::DurabilityOptions& durability,
+                         const dyn::DurableStoreOptions& durability,
                          bool* crashed) {
   dyn::GuardedEngine session(program, n, nullptr, nullptr, PureOptions());
   core::Status attached = session.AttachDurability(dir, durability);
@@ -342,9 +342,8 @@ void BM_CrashMatrix(benchmark::State& state) {
   const size_t n = 8;
   auto program = programs::MakeReachUProgram();
   const relational::RequestSequence requests = MatrixWorkload(n, 18);
-  dyn::DurabilityOptions durability;
-  durability.store.records_per_segment = 5;
-  durability.store.full_snapshot_every = 2;
+  dyn::DurableStoreOptions durability;
+  durability.records_per_segment = 5;
   const std::string dir = BenchTempDir("crash_matrix");
   const core::CrashTailMode kTails[] = {core::CrashTailMode::kKeepNone,
                                         core::CrashTailMode::kKeepHalf,
@@ -400,7 +399,7 @@ void BM_CrashMatrix(benchmark::State& state) {
       DYNFO_CHECK(steps >= acked && steps <= acked + 1)
           << shim.DescribeKill() << ": acked " << acked << " recovered " << steps;
       const uint64_t replayed = revived.recovery_stats().replayed_on_recovery;
-      DYNFO_CHECK(replayed <= durability.store.records_per_segment)
+      DYNFO_CHECK(replayed <= durability.records_per_segment)
           << shim.DescribeKill() << ": replay " << replayed
           << " exceeds one segment";
 
@@ -419,7 +418,7 @@ void BM_CrashMatrix(benchmark::State& state) {
   RemoveTree(dir);
   DYNFO_CHECK(points > 0 && recovered == points)
       << recovered << "/" << points << " crash points recovered";
-  DYNFO_CHECK(max_replay <= durability.store.records_per_segment);
+  DYNFO_CHECK(max_replay <= durability.records_per_segment);
   state.counters["crash_points"] = static_cast<double>(points);
   state.counters["crash_recovery_rate"] =
       static_cast<double>(recovered) / static_cast<double>(points);
@@ -446,8 +445,8 @@ void BM_DurableOverhead(benchmark::State& state) {
   for (auto _ : state) {
     for (bool fsync_on : {true, false}) {
       RemoveTree(dir);
-      dyn::DurabilityOptions durability;
-      durability.store.fsync_each_append = fsync_on;
+      dyn::DurableStoreOptions durability;
+      durability.fsync_each_append = fsync_on;
       dyn::GuardedEngine session(program, n, nullptr, nullptr, PureOptions());
       const auto start = std::chrono::steady_clock::now();
       core::Status attached = session.AttachDurability(dir, durability);
@@ -480,7 +479,7 @@ void BM_DurableOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_DurableOverhead)->Arg(48)->Unit(benchmark::kMillisecond);
 
-/// Revival time as history grows: with incremental checkpoints the replay
+/// Revival time as history grows: with a checkpoint per segment the replay
 /// is bounded by one segment, so revival stays flat while the naive
 /// replay-from-zero alternative grows linearly (EXPERIMENTS.md).
 void BM_RecoveryCurve(benchmark::State& state) {
@@ -493,7 +492,7 @@ void BM_RecoveryCurve(benchmark::State& state) {
   options.set_fraction = 0.0;
   const relational::RequestSequence requests =
       dyn::MakeGenericWorkload(*programs::ParityInputVocabulary(), n, options);
-  dyn::DurabilityOptions durability;  // default interval: 64-record segments
+  dyn::DurableStoreOptions durability;  // default interval: 64-record segments
   const std::string dir = BenchTempDir("curve_" + std::to_string(history));
 
   RemoveTree(dir);
@@ -516,7 +515,7 @@ void BM_RecoveryCurve(benchmark::State& state) {
     DYNFO_CHECK(relational::WriteStructure(revived.engine().data()) ==
                 final_state);
     replayed = revived.recovery_stats().replayed_on_recovery;
-    DYNFO_CHECK(replayed <= durability.store.records_per_segment);
+    DYNFO_CHECK(replayed <= durability.records_per_segment);
   }
 
   // The naive alternative: replay the entire history from scratch.

@@ -876,71 +876,6 @@ core::Status Engine::Restore(const std::string& snapshot) {
   return core::Status();
 }
 
-std::string Engine::SnapshotDelta(const relational::Structure& base,
-                                  uint64_t base_steps) const {
-  std::ostringstream payload;
-  payload << "program " << program_->name() << "\n";
-  payload << "base " << base_steps << "\n";
-  payload << "steps " << stats_.requests << "\n";
-  payload << relational::WriteStructureDelta(base, data_);
-  return relational::WrapChecksummed("snapshot-delta", payload.str());
-}
-
-core::Status Engine::RestoreDelta(const std::string& blob) {
-  core::Result<std::string> payload =
-      relational::UnwrapChecksummed("snapshot-delta", blob);
-  if (!payload.ok()) return payload.status();
-
-  std::istringstream in(payload.value());
-  std::string keyword, name;
-  if (!(in >> keyword >> name) || keyword != "program") {
-    return core::Status::Error("snapshot delta missing 'program' line");
-  }
-  if (name != program_->name()) {
-    return core::Status::Error("snapshot delta is for program '" + name +
-                               "', engine runs '" + program_->name() + "'");
-  }
-  std::string token;
-  uint64_t base_steps = 0, steps = 0;
-  if (!(in >> keyword >> token) || keyword != "base" ||
-      !core::ParseU64(token, &base_steps)) {
-    return core::Status::Error("snapshot delta missing 'base' line");
-  }
-  if (!(in >> keyword >> token) || keyword != "steps" ||
-      !core::ParseU64(token, &steps)) {
-    return core::Status::Error("snapshot delta missing 'steps' line");
-  }
-  if (base_steps != stats_.requests) {
-    return core::Status::Error(
-        "snapshot delta is against step " + std::to_string(base_steps) +
-        " but the engine is at step " + std::to_string(stats_.requests));
-  }
-  if (steps < base_steps) {
-    return core::Status::Error("snapshot delta runs backwards");
-  }
-  std::string rest;
-  std::getline(in, rest);  // consume the newline after the steps line
-  std::ostringstream delta_text;
-  delta_text << in.rdbuf();
-
-  // Stage on a CoW copy so a delta that fails mid-application (wrong base,
-  // corruption the checksum somehow missed) leaves the engine untouched.
-  relational::Structure staged = data_;
-  core::Status status =
-      relational::ApplyStructureDelta(&staged, delta_text.str());
-  if (!status.ok()) {
-    return core::Status::Error("snapshot delta: " + status.message());
-  }
-  data_ = std::move(staged);
-  stats_.requests = steps;
-  // Plans and the plan cache are compiled against the program, not the
-  // data, so they remain valid; the relations' indexes were dropped by the
-  // staged-copy assignment and rebuild lazily. Re-register them eagerly so
-  // the first post-restore Apply doesn't pay the build inside a rule.
-  PrecompileProgram();
-  return core::Status();
-}
-
 bool Engine::QueryBool(std::vector<relational::Element> params) const {
   const fo::FormulaPtr& query = program_->bool_query();
   DYNFO_CHECK(query != nullptr) << program_->name() << " has no boolean query";

@@ -42,6 +42,11 @@
 /// relation, or replay a delta in place. Where a request's raw change lands
 /// (its input mirror) is decided once per request class (RequestPlan) and
 /// shared with the dense path. See DESIGN.md §10–§11.
+///
+/// State leaves the engine in one serialized form: Snapshot() writes the
+/// whole structure and the step counter, Restore() reads it back. Every
+/// durable checkpoint embeds such a full snapshot (recovery.h, DESIGN.md
+/// §12); there is no partial or diff form.
 
 #ifndef DYNFO_DYNFO_ENGINE_H_
 #define DYNFO_DYNFO_ENGINE_H_
@@ -369,23 +374,9 @@ class Engine {
   /// Restores a snapshot produced by Snapshot() on an engine built from
   /// the same program at the same universe size. Corrupt, truncated, or
   /// mismatched snapshots yield an error Status and leave the engine
-  /// untouched — never a crash.
+  /// untouched — never a crash, and never an allocation beyond what the
+  /// backend cost model allows (relational/serialize.h).
   core::Status Restore(const std::string& snapshot);
-
-  /// Serializes only the difference between `base` — a copy of data() taken
-  /// at step `base_steps`, O(1) via copy-on-write — and the current state,
-  /// as a checksummed "snapshot-delta" blob. With the CoW base still shared
-  /// this costs O(changed tuples), not O(state): the incremental-checkpoint
-  /// seam (DESIGN.md §12).
-  std::string SnapshotDelta(const relational::Structure& base,
-                            uint64_t base_steps) const;
-
-  /// Applies a snapshot delta on top of the engine's current state, which
-  /// must be at exactly the delta's base step count (i.e. the full snapshot
-  /// the delta was written against has just been restored). Atomic: on any
-  /// error the engine is untouched. Unlike Restore, compiled plans and the
-  /// plan cache survive — the program and vocabulary are unchanged.
-  core::Status RestoreDelta(const std::string& blob);
 
   /// Overrides the request/step counter; recovery paths use this to keep
   /// the counter monotone across a start-over rebuild.

@@ -1,6 +1,5 @@
 #include "dynfo/journal.h"
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -152,9 +151,6 @@ constexpr const char kManifestName[] = "MANIFEST";
 std::string FullName(uint64_t steps) {
   return "full-" + std::to_string(steps) + ".snap";
 }
-std::string DeltaName(uint64_t steps) {
-  return "delta-" + std::to_string(steps) + ".ckpt";
-}
 std::string SegName(uint64_t first) {
   return "seg-" + std::to_string(first) + ".log";
 }
@@ -171,8 +167,7 @@ bool IsStoreFile(const std::string& name) {
     stem.erase(stem.size() - tmp_suffix.size());
     if (stem == kManifestName) return true;
   }
-  return stem.rfind("full-", 0) == 0 || stem.rfind("delta-", 0) == 0 ||
-         stem.rfind("seg-", 0) == 0;
+  return stem.rfind("full-", 0) == 0 || stem.rfind("seg-", 0) == 0;
 }
 
 /// A manifest-referenced file name must be a plain name the store itself
@@ -245,10 +240,6 @@ std::string FormatManifest(const Manifest& manifest) {
   payload << "universe " << manifest.universe << "\n";
   payload << "full " << manifest.full_file << " steps=" << manifest.full_steps
           << "\n";
-  if (!manifest.delta_file.empty()) {
-    payload << "delta " << manifest.delta_file << " base=" << manifest.delta_base
-            << " steps=" << manifest.delta_steps << "\n";
-  }
   for (const Manifest::Segment& seg : manifest.segments) {
     payload << "seg " << seg.file << " first=" << seg.first << "\n";
   }
@@ -274,7 +265,7 @@ core::Result<Manifest> ParseManifest(const std::string& text) {
   std::istringstream in(payload.value());
   std::string line;
   bool saw_program = false, saw_universe = false, saw_full = false,
-       saw_delta = false, saw_end = false, saw_seg = false;
+       saw_end = false;
   while (std::getline(in, line)) {
     std::istringstream words(line);
     std::string keyword;
@@ -302,20 +293,6 @@ core::Result<Manifest> ParseManifest(const std::string& text) {
         return err("bad 'full' line");
       }
       saw_full = true;
-    } else if (keyword == "delta") {
-      std::string base_token, steps_token;
-      if (saw_delta || saw_seg || !saw_full ||
-          !(words >> manifest.delta_file >> base_token >> steps_token) ||
-          !field(base_token, "base", &manifest.delta_base) ||
-          !field(steps_token, "steps", &manifest.delta_steps) ||
-          (words >> extra) || !ValidStoreFileName(manifest.delta_file)) {
-        return err("bad 'delta' line");
-      }
-      if (manifest.delta_base != manifest.full_steps ||
-          manifest.delta_steps < manifest.delta_base) {
-        return err("delta checkpoint is not chained on the full snapshot");
-      }
-      saw_delta = true;
     } else if (keyword == "seg") {
       Manifest::Segment seg;
       std::string token;
@@ -325,14 +302,13 @@ core::Result<Manifest> ParseManifest(const std::string& text) {
         return err("bad 'seg' line");
       }
       if (manifest.segments.empty()) {
-        if (seg.first != manifest.checkpoint_steps()) {
-          return err("segment chain does not start at the checkpoint");
+        if (seg.first != manifest.full_steps) {
+          return err("segment chain does not start at the snapshot");
         }
       } else if (seg.first <= manifest.segments.back().first) {
         return err("segment chain is not ascending");
       }
       manifest.segments.push_back(std::move(seg));
-      saw_seg = true;
     } else if (keyword == "end") {
       if (words >> extra) return err("trailing tokens after end");
       saw_end = true;
@@ -402,7 +378,6 @@ core::Result<DurableStore> DurableStore::Create(const std::string& dir,
   store.active_first_ = steps;
   store.next_seq_ = steps;
   store.recovered_.full_blob = full_blob;
-  store.recovered_.checkpoint_steps = steps;
   store.counters_.full_snapshots = 1;
   return store;
 }
@@ -436,8 +411,8 @@ core::Result<DurableStore> DurableStore::Open(const std::string& dir,
         std::to_string(universe_size));
   }
 
-  // Checkpoint blobs. A manifest-referenced file is always durable (its
-  // write completed, dir fsync included, before the manifest named it), so
+  // The snapshot. A manifest-referenced file is always durable (its write
+  // completed, dir fsync included, before the manifest named it), so
   // absence is corruption, not a crash artifact.
   core::Result<std::string> full =
       core::ReadFileToString(dir + "/" + manifest.full_file);
@@ -447,22 +422,11 @@ core::Result<DurableStore> DurableStore::Open(const std::string& dir,
                                     manifest.full_file);
   }
   store.recovered_.full_blob = std::move(full).value();
-  if (!manifest.delta_file.empty()) {
-    core::Result<std::string> delta =
-        core::ReadFileToString(dir + "/" + manifest.delta_file);
-    if (!delta.ok()) {
-      return core::Status::Corruption(
-          "durable store " + dir + ": manifest references missing checkpoint " +
-          manifest.delta_file);
-    }
-    store.recovered_.delta_blob = std::move(delta).value();
-  }
-  store.recovered_.checkpoint_steps = manifest.checkpoint_steps();
 
   // Replay the segment chain. Only the FINAL segment may carry a torn tail
   // (the crash-mid-append shape); torn interior segments mean records were
   // lost in the middle of the history — corruption.
-  uint64_t expected_first = manifest.checkpoint_steps();
+  uint64_t expected_first = manifest.full_steps;
   size_t last_valid_bytes = 0;
   bool last_torn = false;
   for (size_t i = 0; i < manifest.segments.size(); ++i) {
@@ -531,7 +495,7 @@ core::Result<DurableStore> DurableStore::Open(const std::string& dir,
   if (!entries.ok()) return entries.status();
   for (const std::string& name : entries.value()) {
     if (!IsStoreFile(name) || name == kManifestName) continue;
-    bool referenced = name == manifest.full_file || name == manifest.delta_file;
+    bool referenced = name == manifest.full_file;
     for (const Manifest::Segment& seg : manifest.segments) {
       referenced = referenced || name == seg.file;
     }
@@ -539,14 +503,6 @@ core::Result<DurableStore> DurableStore::Open(const std::string& dir,
     core::Status status = core::RemoveFileDurable(dir + "/" + name);
     if (!status.ok()) return status;
     ++store.counters_.files_collected;
-  }
-
-  // Restore the consolidation cadence (each delta checkpoint covers one
-  // segment's worth of records, so the ratio recovers the count).
-  if (!manifest.delta_file.empty()) {
-    const uint64_t covered = manifest.delta_steps - manifest.full_steps;
-    store.deltas_since_full_ =
-        std::max<uint64_t>(1, covered / options.records_per_segment);
   }
   return store;
 }
@@ -572,12 +528,12 @@ core::Status DurableStore::Append(std::span<const Request> requests) {
   return core::Status();
 }
 
-core::Status DurableStore::Checkpoint(const std::string& blob, bool is_full) {
+core::Status DurableStore::Checkpoint(const std::string& blob) {
   DYNFO_CHECK(active_.has_value()) << "Checkpoint on a moved-from DurableStore";
   const uint64_t steps = next_seq_;
-  const std::string name = is_full ? FullName(steps) : DeltaName(steps);
+  const std::string name = FullName(steps);
 
-  // 1. The checkpoint blob, durably, before anything references it.
+  // 1. The snapshot, durably, before anything references it.
   core::Status status = core::AtomicWriteFile(dir_ + "/" + name, blob);
   if (!status.ok()) return status;
 
@@ -599,20 +555,9 @@ core::Status DurableStore::Checkpoint(const std::string& blob, bool is_full) {
 
   // 3. Swap the manifest — the commit point.
   Manifest next = manifest_;
-  if (is_full) {
-    next.full_file = name;
-    next.full_steps = steps;
-    next.delta_file.clear();
-    next.delta_base = 0;
-    next.delta_steps = 0;
-  } else {
-    next.delta_file = name;
-    next.delta_base = next.full_steps;
-    next.delta_steps = steps;
-  }
-  next.segments.clear();
-  next.segments.push_back({rotate ? seg_name : SegName(active_first_),
-                           steps});
+  next.full_file = name;
+  next.full_steps = steps;
+  next.segments = {{seg_name, steps}};  // == the active one when !rotate
   status = core::AtomicWriteFile(dir_ + "/" + kManifestName,
                                  FormatManifest(next));
   if (!status.ok()) return status;
@@ -621,19 +566,9 @@ core::Status DurableStore::Checkpoint(const std::string& blob, bool is_full) {
   //    failure from here on leaves orphans for the next Open, never an
   //    inconsistent store.
   std::vector<std::string> dropped;
-  auto referenced = [&next](const std::string& file) {
-    if (file == next.full_file || file == next.delta_file) return true;
-    for (const Manifest::Segment& seg : next.segments) {
-      if (file == seg.file) return true;
-    }
-    return false;
-  };
-  if (!referenced(manifest_.full_file)) dropped.push_back(manifest_.full_file);
-  if (!manifest_.delta_file.empty() && !referenced(manifest_.delta_file)) {
-    dropped.push_back(manifest_.delta_file);
-  }
+  if (manifest_.full_file != next.full_file) dropped.push_back(manifest_.full_file);
   for (const Manifest::Segment& seg : manifest_.segments) {
-    if (!referenced(seg.file)) dropped.push_back(seg.file);
+    if (seg.file != next.segments[0].file) dropped.push_back(seg.file);
   }
   manifest_ = std::move(next);
   if (rotate) {
@@ -642,13 +577,7 @@ core::Status DurableStore::Checkpoint(const std::string& blob, bool is_full) {
     ++counters_.segments_rotated;
   }
   active_records_ = 0;
-  if (is_full) {
-    deltas_since_full_ = 0;
-    ++counters_.full_snapshots;
-  } else {
-    ++deltas_since_full_;
-    ++counters_.checkpoints;
-  }
+  ++counters_.full_snapshots;
   for (const std::string& file : dropped) {
     status = core::RemoveFileDurable(dir_ + "/" + file);
     if (!status.ok()) return status;

@@ -1,17 +1,16 @@
 /// \file journal.h
 /// Crash-consistent durable storage for applied requests: a segmented
-/// journal with incremental checkpoints (DESIGN.md §12).
+/// journal with full-snapshot checkpoints (DESIGN.md §12).
 ///
 /// The auxiliary relations are *live state* accumulated over an unbounded
 /// request stream, so a production engine must be reconstructible after a
 /// kill at any point. Records go into fixed-size *segments*; every segment
-/// rotation writes a *checkpoint* — a delta against the last full snapshot
-/// (cheap via the CoW overlays), with periodic full-snapshot consolidation
-/// — after which the covered segments are garbage-collected. A checksummed
-/// MANIFEST names the authoritative file set; it is replaced atomically
-/// (core/durable_io.h), so at every instant exactly one manifest governs and
-/// recovery replays at most one segment: O(checkpoint interval), not
-/// O(history).
+/// rotation writes a *checkpoint* — a full snapshot of the session — after
+/// which the previous snapshot and the covered segment are
+/// garbage-collected. A checksummed MANIFEST names the authoritative file
+/// set; it is replaced atomically (core/durable_io.h), so at every instant
+/// exactly one manifest governs and recovery is one snapshot plus at most
+/// one segment of replay: O(checkpoint interval), not O(history).
 ///
 /// Segment format (one record per line, each written with a single write):
 ///   dynfo-segment v1 first=<seq>
@@ -79,35 +78,27 @@ core::Result<SegmentParse> ParseSegment(const std::string& text,
 ///   program <name>
 ///   universe <n>
 ///   full <file> steps=<s>
-///   delta <file> base=<b> steps=<s>     (at most one; optional)
 ///   seg <file> first=<k>                (the live chain, ascending)
 ///   end
 struct Manifest {
   std::string program;
   uint64_t universe = 0;
   std::string full_file;
-  uint64_t full_steps = 0;
-  std::string delta_file;  ///< empty = no delta checkpoint
-  uint64_t delta_base = 0;
-  uint64_t delta_steps = 0;
+  uint64_t full_steps = 0;  ///< steps the snapshot covers; replay starts here
   struct Segment {
     std::string file;
     uint64_t first = 0;
   };
   std::vector<Segment> segments;
-
-  /// Steps covered by the checkpoint chain (full plus optional delta).
-  uint64_t checkpoint_steps() const {
-    return delta_file.empty() ? full_steps : delta_steps;
-  }
 };
 
 /// Serializes `manifest` including the checksummed container.
 std::string FormatManifest(const Manifest& manifest);
 
 /// Parses and validates a manifest blob: container checksum, field syntax,
-/// delta chained on the full snapshot, segment chain ascending and starting
-/// at the checkpoint boundary. Any single-byte damage is an error.
+/// segment chain ascending and starting at the snapshot's step. Any
+/// single-byte damage is an error, and so is any keyword outside the
+/// format above.
 core::Result<Manifest> ParseManifest(const std::string& text);
 
 struct DurableStoreOptions {
@@ -115,9 +106,6 @@ struct DurableStoreOptions {
   /// writes a checkpoint covering the finished segment, so recovery replay
   /// is bounded by this many records.
   uint64_t records_per_segment = 64;
-  /// Every k-th checkpoint is a full-snapshot consolidation instead of a
-  /// delta against the last full (bounds delta accumulation).
-  uint64_t full_snapshot_every = 4;
   /// fsync(2) each appended record — durable mode. On by default here (the
   /// store exists for power-loss durability); the measured overhead gate
   /// lives in bench_recovery.
@@ -126,19 +114,18 @@ struct DurableStoreOptions {
 
 /// What DurableStore::Open recovered from the directory.
 struct DurableRecovery {
-  std::string full_blob;   ///< contents of the full-snapshot file
-  std::string delta_blob;  ///< contents of the delta checkpoint; may be empty
-  uint64_t checkpoint_steps = 0;  ///< steps covered before replay
-  relational::RequestSequence replay;  ///< records past the checkpoint
+  std::string full_blob;  ///< contents of the snapshot file
+  relational::RequestSequence replay;  ///< records past the snapshot
   uint64_t segments_replayed = 0;
   bool torn_tail = false;  ///< the active segment lost a torn final record
 };
 
-/// Directory-backed segmented journal with incremental checkpoints. Layout:
-/// MANIFEST (checksummed), full-<steps>.snap, delta-<steps>.ckpt,
-/// seg-<first>.log. All replacements are atomic; a kill at any I/O boundary
-/// leaves a recoverable directory governed by the previous manifest, and
-/// Open garbage-collects any orphaned temp/superseded files it finds.
+/// Directory-backed segmented journal with full-snapshot checkpoints.
+/// Layout: MANIFEST (checksummed), full-<steps>.snap, seg-<first>.log. All
+/// replacements are atomic; a kill at any I/O boundary leaves a recoverable
+/// directory governed by the previous manifest, and Open garbage-collects
+/// any orphaned temp/superseded files it finds. After each checkpoint the
+/// directory holds exactly MANIFEST, one snapshot and one segment.
 /// Single-writer, like the engine it journals for.
 class DurableStore {
  public:
@@ -153,7 +140,7 @@ class DurableStore {
                                            DurableStoreOptions options = {});
 
   /// Opens an existing directory: validates the manifest, loads the
-  /// checkpoint blobs, replays the segment chain (only the final segment
+  /// snapshot, replays the segment chain (only the final segment
   /// may have a torn tail, which is truncated), collects orphans, and
   /// reopens the active segment for append.
   static core::Result<DurableStore> Open(const std::string& dir,
@@ -181,18 +168,13 @@ class DurableStore {
   bool checkpoint_due() const {
     return active_records_ >= options_.records_per_segment;
   }
-  /// The next checkpoint should be a full-snapshot consolidation.
-  bool full_due() const {
-    return options_.full_snapshot_every != 0 &&
-           deltas_since_full_ + 1 >= options_.full_snapshot_every;
-  }
 
-  /// Rotates: durably writes `blob` (a full snapshot if `is_full`, else a
-  /// delta against the manifest's full snapshot) covering all `next_seq()`
-  /// records, starts a fresh segment, atomically swaps the manifest, and
-  /// garbage-collects the files the new manifest no longer references. A
-  /// crash at any boundary leaves the previous manifest governing.
-  core::Status Checkpoint(const std::string& blob, bool is_full);
+  /// Rotates: durably writes `blob`, a full snapshot covering all
+  /// `next_seq()` records, starts a fresh segment, atomically swaps the
+  /// manifest, and garbage-collects the files the new manifest no longer
+  /// references. A crash at any boundary leaves the previous manifest
+  /// governing.
+  core::Status Checkpoint(const std::string& blob);
 
   /// Results of the Open/Create-time recovery.
   const DurableRecovery& recovered() const { return recovered_; }
@@ -210,8 +192,10 @@ class DurableStore {
     uint64_t batch_appends = 0;      ///< group-commit batch records written
     uint64_t fsyncs = 0;
     uint64_t bytes_appended = 0;     ///< journal bytes written by appends
-    uint64_t checkpoints = 0;        ///< delta checkpoints written
-    uint64_t full_snapshots = 0;     ///< full consolidations written
+    /// Always 0 since every checkpoint is a full snapshot; bench_e2e
+    /// still reads it by name next to full_snapshots.
+    uint64_t checkpoints = 0;
+    uint64_t full_snapshots = 0;     ///< snapshots written, Create's included
     uint64_t segments_rotated = 0;
     uint64_t files_collected = 0;    ///< orphans + superseded files removed
   };
@@ -227,7 +211,6 @@ class DurableStore {
   uint64_t active_first_ = 0;
   uint64_t active_records_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t deltas_since_full_ = 0;
   DurableRecovery recovered_;
   Counters counters_;
 };

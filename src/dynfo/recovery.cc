@@ -16,19 +16,17 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Parsed form of a "session" / "session-delta" checkpoint blob: the step
-/// counter(s) plus the two length-prefixed sections — the engine's own
-/// (checksummed) snapshot blob and the shadowed input structure text.
+/// Parsed form of a "session" checkpoint blob: the step counter plus the
+/// two length-prefixed sections — the engine's own (checksummed) snapshot
+/// blob and the shadowed input structure text.
 struct SessionParse {
-  uint64_t base = 0;  ///< delta blobs only: the full snapshot's step count
   uint64_t steps = 0;
   std::string engine_blob;
   std::string input_text;
 };
 
-core::Result<SessionParse> ParseSession(const std::string& blob, bool is_delta) {
-  const char* kind = is_delta ? "session-delta" : "session";
-  core::Result<std::string> payload = relational::UnwrapChecksummed(kind, blob);
+core::Result<SessionParse> ParseSession(const std::string& blob) {
+  core::Result<std::string> payload = relational::UnwrapChecksummed("session", blob);
   if (!payload.ok()) return payload.status();
   const std::string& text = payload.value();
   size_t pos = 0;
@@ -54,14 +52,11 @@ core::Result<SessionParse> ParseSession(const std::string& blob, bool is_delta) 
     pos += bytes;
     return true;
   };
-  auto err = [kind](const std::string& message) {
-    return core::Status::Error(std::string(kind) + " blob: " + message);
+  auto err = [](const std::string& message) {
+    return core::Status::Error("session blob: " + message);
   };
 
   SessionParse out;
-  if (is_delta && !parse_kv("base", &out.base)) {
-    return err("missing 'base' line");
-  }
   if (!parse_kv("steps", &out.steps)) return err("missing 'steps' line");
   if (!read_section("engine", &out.engine_blob)) {
     return err("missing engine section");
@@ -174,7 +169,7 @@ core::Status GuardedEngine::CommitApplied(std::span<const relational::Request> a
   const uint64_t before = stats_.requests;
   stats_.requests += applied.size();
   if (store_.has_value() && store_->checkpoint_due()) {
-    core::Status checkpointed = WriteCheckpoint(/*force_full=*/false);
+    core::Status checkpointed = store_->Checkpoint(MakeSessionBlob());
     if (!checkpointed.ok()) return checkpointed;
   }
   if (!status.ok()) return status;
@@ -306,47 +301,15 @@ std::string GuardedEngine::MakeSessionBlob() const {
   return relational::WrapChecksummed("session", payload.str());
 }
 
-std::string GuardedEngine::MakeSessionDeltaBlob() const {
-  DYNFO_CHECK(base_data_.has_value() && base_input_.has_value())
-      << "delta checkpoint without a base snapshot";
-  const std::string engine_blob = engine_->SnapshotDelta(*base_data_, base_steps_);
-  const std::string input_text =
-      relational::WriteStructureDelta(*base_input_, input_);
-  std::ostringstream payload;
-  payload << "base " << base_steps_ << "\n";
-  payload << "steps " << stats_.requests << "\n";
-  payload << "engine " << engine_blob.size() << "\n" << engine_blob;
-  payload << "input " << input_text.size() << "\n" << input_text;
-  return relational::WrapChecksummed("session-delta", payload.str());
-}
-
-core::Status GuardedEngine::WriteCheckpoint(bool force_full) {
-  DYNFO_CHECK(store_.has_value()) << "checkpoint without an attached store";
-  const bool is_full = force_full || store_->full_due();
-  const std::string blob = is_full ? MakeSessionBlob() : MakeSessionDeltaBlob();
-  core::Status status = store_->Checkpoint(blob, is_full);
-  if (!status.ok()) return status;
-  if (is_full) {
-    // Fresh delta base: O(1) copy-on-write copies of both structures.
-    base_data_ = engine_->data();
-    base_input_ = input_;
-    base_steps_ = stats_.requests;
-    ++stats_.full_snapshots_written;
-  } else {
-    ++stats_.checkpoints_written;
-  }
-  return core::Status();
-}
-
 core::Status GuardedEngine::Compact() {
   if (!store_.has_value()) {
     return core::Status::Error("Compact requires AttachDurability");
   }
-  return WriteCheckpoint(/*force_full=*/true);
+  return store_->Checkpoint(MakeSessionBlob());
 }
 
 core::Status GuardedEngine::AttachDurability(const std::string& dir,
-                                             DurabilityOptions options) {
+                                             DurableStoreOptions options) {
   if (stats_.requests != 0 || store_.has_value()) {
     return core::Status::Error(
         "AttachDurability must be called on a fresh GuardedEngine");
@@ -357,20 +320,17 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
     // post_init precomputation) as the first full snapshot.
     core::Result<DurableStore> created = DurableStore::Create(
         dir, program_->name(), input_.universe_size(), MakeSessionBlob(),
-        stats_.requests, options.store);
+        stats_.requests, options);
     if (!created.ok()) return created.status();
     store_.emplace(std::move(created).value());
-    base_data_ = engine_->data();
-    base_input_ = input_;
-    base_steps_ = stats_.requests;
     return core::Status();
   }
 
-  // Revive: full snapshot, then the delta checkpoint, then at most one
-  // segment of journal replay. On any error the wrapper is partially
-  // restored — rebuild it before retrying.
+  // Revive: the snapshot, then at most one segment of journal replay. On
+  // any error the wrapper is partially restored — rebuild it before
+  // retrying.
   core::Result<DurableStore> opened = DurableStore::Open(
-      dir, *program_->input_vocabulary(), input_.universe_size(), options.store);
+      dir, *program_->input_vocabulary(), input_.universe_size(), options);
   if (!opened.ok()) return opened.status();
   DurableStore store = std::move(opened).value();
   if (store.manifest().program != program_->name()) {
@@ -379,8 +339,7 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
                                program_->name() + "'");
   }
 
-  core::Result<SessionParse> full =
-      ParseSession(store.recovered().full_blob, /*is_delta=*/false);
+  core::Result<SessionParse> full = ParseSession(store.recovered().full_blob);
   if (!full.ok()) {
     return core::Status::Corruption("durable store " + dir + ": " +
                                     full.status().message());
@@ -402,37 +361,11 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
     return core::Status::Corruption(
         "durable store " + dir + ": session step counters disagree");
   }
-  // The delta base is the state at the last FULL snapshot.
-  base_data_ = engine_->data();
-  base_input_ = input_;
-  base_steps_ = full.value().steps;
-
-  if (!store.recovered().delta_blob.empty()) {
-    core::Result<SessionParse> delta =
-        ParseSession(store.recovered().delta_blob, /*is_delta=*/true);
-    if (!delta.ok()) {
-      return core::Status::Corruption("durable store " + dir + ": " +
-                                      delta.status().message());
-    }
-    if (delta.value().base != base_steps_) {
-      return core::Status::Corruption(
-          "durable store " + dir +
-          ": delta checkpoint is not chained on the full snapshot");
-    }
-    core::Status applied = engine_->RestoreDelta(delta.value().engine_blob);
-    if (!applied.ok()) return applied;
-    applied = relational::ApplyStructureDelta(&input_, delta.value().input_text);
-    if (!applied.ok()) {
-      return core::Status::Corruption("durable store " + dir +
-                                      ": session input delta: " +
-                                      applied.message());
-    }
-  }
   stats_.requests = engine_->stats().requests;
-  if (stats_.requests != store.recovered().checkpoint_steps) {
+  if (stats_.requests != store.manifest().full_steps) {
     return core::Status::Corruption(
         "durable store " + dir +
-        ": checkpoint step counters disagree with the manifest");
+        ": snapshot step counter disagrees with the manifest");
   }
 
   for (const relational::Request& request : store.recovered().replay) {
@@ -457,9 +390,7 @@ core::Status GuardedEngine::AttachDurability(const std::string& dir,
   // Self-heal: if the previous run died in its checkpoint loop, the active
   // segment may already be full — checkpoint now so the replay bound holds
   // for the next recovery too.
-  if (store_->checkpoint_due()) {
-    return WriteCheckpoint(/*force_full=*/false);
-  }
+  if (store_->checkpoint_due()) return store_->Checkpoint(MakeSessionBlob());
   return core::Status();
 }
 

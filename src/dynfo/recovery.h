@@ -23,7 +23,7 @@
 ///     rebuild (GovernancePolicy);
 ///   * optionally every applied request goes to a durable store (journal.h,
 ///     AttachDurability), making the whole session reconstructible after a
-///     kill from the latest checkpoint plus at most one journal segment.
+///     kill from the latest full snapshot plus at most one journal segment.
 ///
 /// All failure paths return Status — nothing in this layer CHECK-crashes
 /// on bad input.
@@ -83,12 +83,6 @@ struct GuardedEngineOptions {
   GovernancePolicy governance;
 };
 
-/// Configuration for AttachDurability — the segmented-journal +
-/// incremental-checkpoint store (journal.h, DESIGN.md §12).
-struct DurabilityOptions {
-  DurableStoreOptions store;
-};
-
 struct RecoveryStats {
   uint64_t requests = 0;             ///< requests applied through the wrapper
   uint64_t batches = 0;              ///< ApplyBatch calls that applied >= 1 request
@@ -101,11 +95,10 @@ struct RecoveryStats {
   uint64_t last_detection_step = 0;  ///< request count at last detection
   double last_recovery_seconds = 0;
 
-  // Durability counters (all zero without AttachDurability).
-  uint64_t checkpoints_written = 0;      ///< delta checkpoints
-  uint64_t full_snapshots_written = 0;   ///< full consolidations
-  /// Journal records replayed while attaching — the replay bound the crash
-  /// matrix hard-checks stays ≤ the checkpoint interval.
+  /// Journal records replayed while attaching (zero without
+  /// AttachDurability) — the replay bound the crash matrix hard-checks
+  /// stays ≤ the checkpoint interval. Checkpoint counts live in
+  /// DurableStore::Counters.
   uint64_t replayed_on_recovery = 0;
 
   // Governed-execution counters (all zero when governance is inactive).
@@ -161,22 +154,21 @@ class GuardedEngine {
   core::Status Recover(const std::string& reason);
 
   /// Attaches the segmented durable store at `dir` (journal.h): every
-  /// applied request is appended (fsynced) to the active segment, every
-  /// filled segment triggers an incremental checkpoint — a session delta
-  /// computed from the CoW overlays against the last full snapshot — and
-  /// periodically a full-snapshot consolidation, after which covered
-  /// segments are garbage-collected. Each append is fsynced by default, so
-  /// an acknowledged request survives power loss, not just a process kill.
+  /// applied request is appended (fsynced) to the active segment, and every
+  /// filled segment triggers a checkpoint — the whole session as a full
+  /// snapshot — after which the previous snapshot and the covered segment
+  /// are garbage-collected. Each append is fsynced by default, so an
+  /// acknowledged request survives power loss, not just a process kill.
   /// Must be called on a fresh wrapper. If `dir` already holds a store, the
-  /// session is revived first: full snapshot + delta checkpoint + at most
-  /// one segment of replay, so recovery time is O(checkpoint interval)
-  /// regardless of history length. On any error the wrapper is partially
-  /// restored — rebuild it before retrying.
+  /// session is revived first: the snapshot plus at most one segment of
+  /// replay, so recovery time is O(checkpoint interval) regardless of
+  /// history length. On any error the wrapper is partially restored —
+  /// rebuild it before retrying.
   core::Status AttachDurability(const std::string& dir,
-                                DurabilityOptions options = {});
+                                DurableStoreOptions options = {});
 
-  /// Forces a full-snapshot consolidation now: writes the session as a new
-  /// full snapshot, drops the delta chain, collects covered segments.
+  /// Checkpoints now, whether or not the segment is full: writes the
+  /// session as a new snapshot and collects the old one and its segment.
   core::Status Compact();
 
   bool durability_attached() const { return store_.has_value(); }
@@ -226,14 +218,8 @@ class GuardedEngine {
                              core::Status status);
 
   /// The full session (engine state + shadowed input + step counter) as a
-  /// checksummed "session" blob, and the delta form against the base
-  /// copies held since the last full snapshot.
+  /// checksummed "session" blob — the one checkpoint form.
   std::string MakeSessionBlob() const;
-  std::string MakeSessionDeltaBlob() const;
-
-  /// Writes the due checkpoint (delta, or full when consolidation is due)
-  /// and refreshes the CoW base copies after a full one.
-  core::Status WriteCheckpoint(bool force_full);
 
   std::shared_ptr<const DynProgram> program_;
   GuardedEngineOptions options_;
@@ -242,11 +228,6 @@ class GuardedEngine {
   std::unique_ptr<Engine> engine_;
   relational::Structure input_;
   std::optional<DurableStore> store_;
-  /// Copy-on-write copies of the engine data and input at the last full
-  /// snapshot — the delta base. O(1) to take, O(overlay) to diff against.
-  std::optional<relational::Structure> base_data_;
-  std::optional<relational::Structure> base_input_;
-  uint64_t base_steps_ = 0;
   RecoveryStats stats_;
   std::string last_quarantine_;
 };

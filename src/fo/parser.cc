@@ -155,6 +155,20 @@ class ParserImpl {
                                std::to_string(Peek().offset));
   }
 
+  /// Runs `parse` one nesting level deeper; past kMaxFormulaNesting open
+  /// levels that is a parse error instead of another stack frame.
+  template <typename Parse>
+  core::Result<FormulaPtr> Nested(Parse parse) {
+    if (depth_ == kMaxFormulaNesting) {
+      return Error("formula nested deeper than " +
+                   std::to_string(kMaxFormulaNesting) + " levels");
+    }
+    ++depth_;
+    core::Result<FormulaPtr> out = parse();
+    --depth_;
+    return out;
+  }
+
   core::Result<FormulaPtr> ParseIff() {
     core::Result<FormulaPtr> left = ParseImplies();
     if (!left.ok()) return left;
@@ -171,7 +185,8 @@ class ParserImpl {
     core::Result<FormulaPtr> left = ParseOr();
     if (!left.ok()) return left;
     if (!TryTake(TokenKind::kArrow)) return left;
-    core::Result<FormulaPtr> right = ParseImplies();  // right associative
+    core::Result<FormulaPtr> right =
+        Nested([this] { return ParseImplies(); });  // right associative
     if (!right.ok()) return right;
     return FormulaPtr(Formula::Implies(left.value(), right.value()));
   }
@@ -202,7 +217,7 @@ class ParserImpl {
 
   core::Result<FormulaPtr> ParseUnary() {
     if (TryTake(TokenKind::kBang)) {
-      core::Result<FormulaPtr> inner = ParseUnary();
+      core::Result<FormulaPtr> inner = Nested([this] { return ParseUnary(); });
       if (!inner.ok()) return inner;
       return FormulaPtr(Formula::Not(inner.value()));
     }
@@ -215,7 +230,7 @@ class ParserImpl {
       }
       if (variables.empty()) return Error("quantifier needs variables");
       if (!TryTake(TokenKind::kDot)) return Error("expected '.' after quantifier");
-      core::Result<FormulaPtr> body = ParseUnary();
+      core::Result<FormulaPtr> body = Nested([this] { return ParseUnary(); });
       if (!body.ok()) return body;
       return FormulaPtr(existential ? Formula::Exists(variables, body.value())
                                     : Formula::Forall(variables, body.value()));
@@ -227,7 +242,7 @@ class ParserImpl {
     const Token& token = Peek();
     if (token.kind == TokenKind::kLParen) {
       Take();
-      core::Result<FormulaPtr> inner = ParseIff();
+      core::Result<FormulaPtr> inner = Nested([this] { return ParseIff(); });
       if (!inner.ok()) return inner;
       if (!TryTake(TokenKind::kRParen)) return Error("missing ')'");
       return inner;
@@ -350,6 +365,7 @@ class ParserImpl {
   const ParserEnvironment& environment_;
   std::vector<Token> tokens_;
   size_t position_ = 0;
+  int depth_ = 0;  ///< nesting levels open (see Nested)
 };
 
 core::Status ParserEnvironment::DefineMacro(const std::string& name,

@@ -19,6 +19,11 @@
 /// An identifier denotes a declared constant symbol if the vocabulary has
 /// one, otherwise a variable. '$k' is request parameter k. Macros expand by
 /// capture-avoiding substitution of the argument terms.
+///
+/// Nesting is bounded: at most kMaxFormulaNesting of '(', '!', quantifier
+/// bodies and '->' may be open at once. Deeper input is a parse error, so
+/// hostile text (a wire `eval` frame, a spec) cannot overflow the stack of
+/// the recursive-descent parser.
 
 #ifndef DYNFO_FO_PARSER_H_
 #define DYNFO_FO_PARSER_H_
@@ -33,6 +38,10 @@
 #include "relational/vocabulary.h"
 
 namespace dynfo::fo {
+
+/// Far above any formula in specs/, far below the few thousand levels that
+/// overflow an 8 MiB stack.
+inline constexpr int kMaxFormulaNesting = 256;
 
 /// Shared parsing context: which names are constants, which are relations
 /// (with arities), and the macro table.

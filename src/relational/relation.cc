@@ -19,20 +19,23 @@ constexpr size_t kDenseExitDivisor = 256;
 
 }  // namespace
 
+bool Relation::DenseRepresentable(int arity, size_t universe) {
+  if (universe == 0 || arity > DenseSet::kMaxDenseArity) return false;
+  return arity <= 1 ? universe <= kMaxDenseVectorUniverse
+                    : universe <= kMaxDensePlaneUniverse;
+}
+
 bool Relation::WantsDense() const {
-  if (universe_ == 0 || arity_ > DenseSet::kMaxDenseArity) return false;
+  if (!DenseRepresentable(arity_, universe_)) return false;
   switch (policy_) {
     case BackendPolicy::kHashOnly:
       return false;
     case BackendPolicy::kForceDense:
-      return arity_ <= 1 ? universe_ <= kMaxDenseVectorUniverse
-                         : universe_ <= kMaxDensePlaneUniverse;
+      return true;
     case BackendPolicy::kAuto:
       break;
   }
-  if (arity_ <= 1) return universe_ <= kMaxDenseVectorUniverse;
-  if (universe_ > kMaxDensePlaneUniverse) return false;
-  if (universe_ <= kAlwaysDensePairUniverse) return true;
+  if (arity_ <= 1 || universe_ <= kAlwaysDensePairUniverse) return true;
   const size_t cells = universe_ * universe_;
   const size_t divisor =
       dense_ != nullptr ? kDenseExitDivisor : kDenseEnterDivisor;
@@ -44,16 +47,6 @@ bool Relation::ReconsiderBackend() {
   if (want_dense == (dense_ != nullptr)) return false;
   ConvertBackendInternal(want_dense);
   return true;
-}
-
-void Relation::ForceBackend(RelationBackend backend, size_t universe) {
-  if (universe != 0) universe_ = universe;
-  const bool to_dense = backend == RelationBackend::kDense;
-  if (to_dense == (dense_ != nullptr)) return;
-  DYNFO_CHECK(!to_dense ||
-              (universe_ > 0 && arity_ <= DenseSet::kMaxDenseArity))
-      << "dense backend needs a known universe and arity <= 2";
-  ConvertBackendInternal(to_dense);
 }
 
 void Relation::ConvertBackendInternal(bool to_dense) {
@@ -91,7 +84,7 @@ const DenseSet* Relation::PrepareDenseView() {
 }
 
 DenseSet* Relation::BeginDenseRewrite(size_t universe) {
-  DYNFO_CHECK(universe > 0 && arity_ <= DenseSet::kMaxDenseArity);
+  DYNFO_CHECK(DenseRepresentable(arity_, universe));
   universe_ = universe;
   if (dense_ == nullptr || dense_.use_count() > 1 ||
       dense_->universe() != universe) {
@@ -165,39 +158,6 @@ std::vector<Tuple> Relation::SortedTuples() const {
   std::vector<Tuple> out(begin(), end());
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void Relation::DiffFrom(const Relation& old, std::vector<Tuple>* added,
-                        std::vector<Tuple>* removed) const {
-  DYNFO_CHECK(arity_ == old.arity_) << "diff across arities";
-  const size_t added_start = added->size();
-  const size_t removed_start = removed->size();
-  if ((base_ != nullptr && base_ == old.base_) ||
-      (dense_ != nullptr && dense_ == old.dense_)) {
-    // Shared base: only overlay tuples can differ. Dedup candidates with a
-    // scratch set so a tuple in both overlays is classified once.
-    TupleSet candidates;
-    auto consider = [&](const Tuple& t) {
-      if (!candidates.Insert(t)) return;
-      const bool now = Contains(t);
-      const bool before = old.Contains(t);
-      if (now && !before) added->push_back(t);
-      if (!now && before) removed->push_back(t);
-    };
-    for (const Tuple& t : added_) consider(t);
-    for (const Tuple& t : removed_) consider(t);
-    for (const Tuple& t : old.added_) consider(t);
-    for (const Tuple& t : old.removed_) consider(t);
-  } else {
-    for (const Tuple& t : *this) {
-      if (!old.Contains(t)) added->push_back(t);
-    }
-    for (const Tuple& t : old) {
-      if (!Contains(t)) removed->push_back(t);
-    }
-  }
-  std::sort(added->begin() + added_start, added->end());
-  std::sort(removed->begin() + removed_start, removed->end());
 }
 
 std::string Relation::ToString() const {

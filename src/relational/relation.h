@@ -24,7 +24,7 @@ namespace dynfo::relational {
 enum class BackendPolicy : uint8_t {
   kHashOnly,    ///< always hash (TupleSet) storage
   kAuto,        ///< cost model picks per relation, with hysteresis
-  kForceDense,  ///< dense whenever representable (arity <= 2, universe known)
+  kForceDense,  ///< dense whenever representable (DenseRepresentable)
 };
 
 /// The physical backend currently holding the base version.
@@ -265,9 +265,12 @@ class Relation {
   /// the desired backend differs. Returns true when a conversion happened.
   bool ReconsiderBackend();
 
-  /// Forces a specific backend regardless of policy (delta restore and
-  /// forced-churn tests). `universe` must be nonzero for kDense.
-  void ForceBackend(RelationBackend backend, size_t universe);
+  /// Whether a relation of `arity` over a universe of `universe` elements
+  /// can be held dense: arity <= 2, a known universe, and the cost model's
+  /// size caps (2^22 elements for arity <= 1, 8192 for arity 2). Both ways
+  /// into the dense backend — the cost model and a snapshot's dense page —
+  /// require it, which bounds what an untrusted page can make us allocate.
+  static bool DenseRepresentable(int arity, size_t universe);
 
   RelationBackend backend() const {
     return dense_ != nullptr ? RelationBackend::kDense : RelationBackend::kHash;
@@ -356,16 +359,6 @@ class Relation {
 
   /// All tuples in lexicographic order (deterministic).
   std::vector<Tuple> SortedTuples() const;
-
-  /// The set difference against an older version of this relation:
-  /// `added` receives this∖old, `removed` receives old∖this, both in
-  /// lexicographic order (appended to the given vectors). When the two
-  /// relations still share a base version — the incremental-checkpoint
-  /// case, where `old` is the CoW copy taken at the last snapshot — the
-  /// cost is O(overlay), independent of relation size; otherwise it falls
-  /// back to a full O(|this| + |old|) scan.
-  void DiffFrom(const Relation& old, std::vector<Tuple>* added,
-                std::vector<Tuple>* removed) const;
 
   /// Set equality (arity and contents; backend choice, policy, and indexes
   /// are physical/derived state and do not participate).

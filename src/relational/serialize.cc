@@ -1,7 +1,6 @@
 #include "relational/serialize.h"
 
 #include <sstream>
-#include <vector>
 
 #include "core/text.h"
 
@@ -150,14 +149,18 @@ core::Result<Structure> ReadStructure(const std::string& text,
       int index = vocabulary->RelationIndex(name);
       if (index < 0) return Err(line_number, "unknown relation " + name);
       const int arity = vocabulary->relation(index).arity;
-      if (arity > DenseSet::kMaxDenseArity) {
-        return Err(line_number, name + " has arity above the dense maximum");
+      const size_t n = structure->universe_size();
+      // Checked before the page is sized: the header's universe alone would
+      // otherwise pick the allocation (2 TB for an arity-2 page at n=4e6).
+      if (!Relation::DenseRepresentable(arity, n)) {
+        return Err(line_number, name + " cannot be dense at arity " +
+                                    std::to_string(arity) + " over n=" +
+                                    std::to_string(n));
       }
       Relation& rel = structure->relation(index);
       if (rel.backend() == RelationBackend::kDense || !rel.empty()) {
         return Err(line_number, "duplicate page for relation " + name);
       }
-      const size_t n = structure->universe_size();
       const size_t expected_words = DenseSet::WordsFor(arity, n);
       std::string words_field;
       if (!(words >> words_field) || words_field.rfind("words=", 0) != 0) {
@@ -291,179 +294,6 @@ core::Result<Structure> ReadStructureChecksummed(
   core::Result<std::string> payload = UnwrapChecksummed("structure", text);
   if (!payload.ok()) return payload.status();
   return ReadStructure(payload.value(), std::move(vocabulary));
-}
-
-std::string WriteStructureDelta(const Structure& base, const Structure& current) {
-  const Vocabulary& vocab = current.vocabulary();
-  DYNFO_CHECK(&base.vocabulary() == &vocab ||
-              base.vocabulary().ToString() == vocab.ToString())
-      << "delta across vocabularies";
-  DYNFO_CHECK(base.universe_size() == current.universe_size())
-      << "delta across universe sizes";
-  std::ostringstream out;
-  out << "delta n=" << current.universe_size() << "\n";
-  std::vector<Tuple> added, removed;
-  for (int i = 0; i < vocab.num_relations(); ++i) {
-    added.clear();
-    removed.clear();
-    current.relation(i).DiffFrom(base.relation(i), &added, &removed);
-    const std::string& name = vocab.relation(i).name;
-    if (current.relation(i).backend() != base.relation(i).backend()) {
-      out << "backend " << name << " "
-          << (current.relation(i).backend() == RelationBackend::kDense
-                  ? "dense"
-                  : "hash")
-          << "\n";
-    }
-    for (const Tuple& t : added) {
-      out << "add " << name;
-      for (int p = 0; p < t.size(); ++p) out << " " << t[p];
-      out << "\n";
-    }
-    for (const Tuple& t : removed) {
-      out << "del " << name;
-      for (int p = 0; p < t.size(); ++p) out << " " << t[p];
-      out << "\n";
-    }
-  }
-  for (int j = 0; j < vocab.num_constants(); ++j) {
-    if (base.constant(j) != current.constant(j)) {
-      out << "const " << vocab.constant(j) << " " << current.constant(j) << "\n";
-    }
-  }
-  out << "end\n";
-  return out.str();
-}
-
-core::Status ApplyStructureDelta(Structure* structure, const std::string& text) {
-  const Vocabulary& vocab = structure->vocabulary();
-  std::istringstream in(text);
-  std::string line;
-  size_t line_number = 0;
-  bool saw_header = false;
-  bool saw_end = false;
-
-  while (std::getline(in, line)) {
-    ++line_number;
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream words(line);
-    std::string keyword;
-    if (!(words >> keyword)) continue;
-    if (saw_end) return Err(line_number, "content after 'end'");
-
-    if (keyword == "delta") {
-      std::string size_field;
-      if (saw_header || !(words >> size_field) || size_field.rfind("n=", 0) != 0) {
-        return Err(line_number, "expected a single 'delta n=<size>' header");
-      }
-      uint64_t n = 0;
-      if (!core::ParseU64(size_field.substr(2), &n) ||
-          n != structure->universe_size()) {
-        return Err(line_number,
-                   "delta universe size does not match the base structure");
-      }
-      if (HasTrailingTokens(&words)) {
-        return Err(line_number, "trailing tokens after header");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (!saw_header) return Err(line_number, "missing 'delta n=...' header");
-
-    if (keyword == "add" || keyword == "del") {
-      std::string name;
-      if (!(words >> name)) {
-        return Err(line_number, keyword + " needs a relation name");
-      }
-      int index = vocab.RelationIndex(name);
-      if (index < 0) return Err(line_number, "unknown relation " + name);
-      const int arity = vocab.relation(index).arity;
-      Tuple t;
-      for (int p = 0; p < arity; ++p) {
-        Element value = 0;
-        if (!NextElement(&words, structure->universe_size(), &value)) {
-          return Err(line_number, name + " tuple malformed or outside universe");
-        }
-        t = t.Append(value);
-      }
-      if (HasTrailingTokens(&words)) {
-        return Err(line_number, name + " tuple too long");
-      }
-      if (keyword == "add") {
-        if (!structure->relation(index).Insert(t)) {
-          return Err(line_number, "delta adds " + t.ToString() + " to " + name +
-                                      " but it is already present (delta "
-                                      "applied to the wrong base)");
-        }
-      } else {
-        if (!structure->relation(index).Erase(t)) {
-          return Err(line_number, "delta removes " + t.ToString() + " from " +
-                                      name +
-                                      " but it is absent (delta applied to "
-                                      "the wrong base)");
-        }
-      }
-      continue;
-    }
-    if (keyword == "backend") {
-      std::string name, which;
-      if (!(words >> name >> which) || (which != "dense" && which != "hash")) {
-        return Err(line_number, "backend needs <relation> dense|hash");
-      }
-      int index = vocab.RelationIndex(name);
-      if (index < 0) return Err(line_number, "unknown relation " + name);
-      if (HasTrailingTokens(&words)) {
-        return Err(line_number, "trailing tokens after backend");
-      }
-      const RelationBackend want = which == "dense" ? RelationBackend::kDense
-                                                    : RelationBackend::kHash;
-      Relation& rel = structure->relation(index);
-      if (rel.backend() == want) {
-        return Err(line_number, "delta sets " + name + " to its current " +
-                                    which +
-                                    " backend (delta applied to the wrong "
-                                    "base)");
-      }
-      if (want == RelationBackend::kDense &&
-          (rel.arity() > DenseSet::kMaxDenseArity)) {
-        return Err(line_number, name + " has arity above the dense maximum");
-      }
-      rel.ForceBackend(want, structure->universe_size());
-      continue;
-    }
-    if (keyword == "const") {
-      std::string name;
-      if (!(words >> name)) return Err(line_number, "const needs name value");
-      int index = vocab.ConstantIndex(name);
-      if (index < 0) return Err(line_number, "unknown constant " + name);
-      Element value = 0;
-      if (!NextElement(&words, structure->universe_size(), &value)) {
-        return Err(line_number, "constant malformed or outside universe");
-      }
-      if (HasTrailingTokens(&words)) {
-        return Err(line_number, "trailing tokens after const");
-      }
-      if (structure->constant(index) == value) {
-        return Err(line_number, "delta sets constant " + name +
-                                    " to its current value (delta applied to "
-                                    "the wrong base)");
-      }
-      structure->set_constant(name, value);
-      continue;
-    }
-    if (keyword == "end") {
-      if (HasTrailingTokens(&words)) {
-        return Err(line_number, "trailing tokens after end");
-      }
-      saw_end = true;
-      continue;
-    }
-    return Err(line_number, "unrecognized keyword " + keyword);
-  }
-  if (!saw_header) return core::Status::Error("empty delta");
-  if (!saw_end) return core::Status::Error("missing 'end'");
-  return core::Status();
 }
 
 }  // namespace dynfo::relational

@@ -5,19 +5,25 @@
 ///
 /// Format (line oriented, '#' comments):
 ///   structure n=<universe size>
-///   rel <name> <e1> <e2> ...      # one line per tuple
+///   rel <name> <e1> <e2> ...      # one line per tuple (hash backend)
+///   dense <name> words=<k> ...    # one bitmap page (dense backend)
 ///   const <name> <value>
 ///   end
 ///
 /// Relations/constants absent from the text are empty/zero; unknown names
 /// or out-of-universe elements are errors. The vocabulary itself is not
 /// serialized — the reader supplies it, and the text is validated against
-/// it (a structure is only meaningful relative to its schema).
+/// it (a structure is only meaningful relative to its schema). A relation
+/// is written as a `dense` page exactly when its backend is dense, so a
+/// snapshot carries each relation's backend as well as its contents.
 ///
 /// Parsing is hardened against hostile bytes: every numeric token must be
-/// a full decimal number, no trailing tokens are tolerated, and the
-/// universe size is bounded by the Element range. Malformed input always
-/// yields an error Status, never a crash.
+/// a full decimal number, no trailing tokens are tolerated, the universe
+/// size is bounded by the Element range, and a `dense` page is accepted
+/// only for shapes the engine can hold dense (Relation::DenseRepresentable),
+/// so no header can make the reader allocate more than the cost model
+/// ever would. Malformed input always yields an error Status, never a
+/// crash.
 ///
 /// For durable state (snapshots, anything that crosses a process
 /// boundary), the checksummed container adds a versioned header and an
@@ -60,24 +66,6 @@ core::Result<std::string> UnwrapChecksummed(const std::string& kind,
 std::string WriteStructureChecksummed(const Structure& structure);
 core::Result<Structure> ReadStructureChecksummed(
     const std::string& text, std::shared_ptr<const Vocabulary> vocabulary);
-
-/// Serializes only the difference current − base (incremental checkpoints:
-/// base is the CoW copy taken at the last full snapshot, so the diff costs
-/// O(overlay), not O(state)). Format, same line discipline as structures:
-///   delta n=<universe size>
-///   add <name> <e1> <e2> ...      # tuple in current, not in base
-///   del <name> <e1> <e2> ...      # tuple in base, not in current
-///   const <name> <value>          # changed constants only
-///   end
-/// Both structures must share vocabulary and universe size.
-std::string WriteStructureDelta(const Structure& base, const Structure& current);
-
-/// Applies a delta in place. STRICT: an `add` of a tuple already present,
-/// a `del` of a tuple absent, or a `const` equal to the current value is an
-/// error — a delta only composes with the exact base it was written
-/// against, and silently tolerating mismatches would let a checkpoint
-/// apply to the wrong snapshot undetected.
-core::Status ApplyStructureDelta(Structure* structure, const std::string& text);
 
 }  // namespace dynfo::relational
 

@@ -1,7 +1,7 @@
 /// The crash-point recovery matrix: simulate a process kill at EVERY
 /// durable-I/O boundary (write / fsync / rename / create / dir-fsync /
 /// truncate / unlink) of a durable session — store creation, fsynced
-/// appends, segment rotation, incremental and full checkpoints, manifest
+/// appends, segment rotation, checkpoints (full snapshots), manifest
 /// swaps, garbage collection — then apply each legal post-crash damage
 /// model (unsynced bytes lost / torn / survived, pending renames undone or
 /// not) and require revival to succeed with state BIT-IDENTICAL to a clean
@@ -85,10 +85,9 @@ GuardedEngineOptions PureOptions(const ProgramScenario& scenario) {
   return options;
 }
 
-DurabilityOptions MatrixDurability() {
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 5;
-  durability.store.full_snapshot_every = 2;
+DurableStoreOptions MatrixDurability() {
+  DurableStoreOptions durability;
+  durability.records_per_segment = 5;
   return durability;
 }
 
@@ -198,7 +197,7 @@ TEST_P(CrashMatrix, EveryKillPointRevivesBitIdentical) {
           << program_name << " " << shim.DescribeKill()
           << ": revival conjured unapplied requests";
       ASSERT_LE(revived.recovery_stats().replayed_on_recovery,
-                MatrixDurability().store.records_per_segment)
+                MatrixDurability().records_per_segment)
           << program_name << " " << shim.DescribeKill()
           << ": replay exceeded one segment";
 
@@ -244,10 +243,9 @@ INSTANTIATE_TEST_SUITE_P(AllDamageModes, CrashMatrix,
 
 constexpr size_t kBatch = 4;
 
-DurabilityOptions BatchMatrixDurability() {
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 8;
-  durability.store.full_snapshot_every = 2;
+DurableStoreOptions BatchMatrixDurability() {
+  DurableStoreOptions durability;
+  durability.records_per_segment = 8;
   return durability;
 }
 
@@ -354,7 +352,7 @@ TEST_P(BatchCrashMatrix, EveryKillPointRevivesWholeBatches) {
       // A batch record can overshoot the segment's record budget by at most
       // one batch, so the replay bound is interval + batch.
       ASSERT_LE(revived.recovery_stats().replayed_on_recovery,
-                BatchMatrixDurability().store.records_per_segment + kBatch)
+                BatchMatrixDurability().records_per_segment + kBatch)
           << program_name << " " << shim.DescribeKill();
 
       Engine oracle(program, n);

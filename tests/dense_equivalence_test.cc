@@ -244,7 +244,8 @@ TEST(DenseEquivalenceTest, BackendChurnMidHistoryPreservesState) {
   }
 }
 
-// Relation-level churn: ForceBackend round trips preserve contents exactly.
+// Relation-level churn: round trips between the forced policies preserve
+// contents exactly.
 TEST(DenseEquivalenceTest, RelationForceBackendRoundTrip) {
   core::Rng rng(99);
   for (int arity = 0; arity <= 2; ++arity) {
@@ -257,10 +258,10 @@ TEST(DenseEquivalenceTest, RelationForceBackendRoundTrip) {
       rel.Insert(t);
     }
     const relational::Relation original = rel;
-    rel.ForceBackend(relational::RelationBackend::kDense, 20);
+    EXPECT_TRUE(rel.ConfigureBackend(relational::BackendPolicy::kForceDense, 20));
     EXPECT_EQ(rel.backend(), relational::RelationBackend::kDense);
     EXPECT_EQ(rel, original);
-    rel.ForceBackend(relational::RelationBackend::kHash, 20);
+    EXPECT_TRUE(rel.ConfigureBackend(relational::BackendPolicy::kHashOnly, 20));
     EXPECT_EQ(rel.backend(), relational::RelationBackend::kHash);
     EXPECT_EQ(rel, original);
     EXPECT_EQ(rel.backend_conversions(), 2u);
@@ -405,32 +406,6 @@ TEST(DenseSnapshotFuzzTest, RawDensePagesNeverCrashAndRoundTrip) {
       EXPECT_EQ(reparsed.value(), parsed.value()) << "trial " << trial;
     }
   }
-}
-
-// Snapshot deltas carry backend flips as `backend` lines.
-TEST(DenseEquivalenceTest, SnapshotDeltaCarriesBackendFlips) {
-  const programs::ProgramScenario& scenario = programs::AllScenarios()[0];
-  const size_t n = scenario.default_universe;
-  auto program = scenario.make_program();
-  Engine engine(program, n, DenseOptions(/*force=*/true));
-  if (scenario.post_init) scenario.post_init(&engine);
-  const relational::RequestSequence requests = scenario.make_workload(n, 41);
-  const size_t half = requests.size() / 2;
-  for (size_t i = 0; i < half; ++i) engine.Apply(requests[i]);
-
-  const relational::Structure base = engine.data();  // CoW copy
-  const uint64_t base_steps = engine.stats().requests;
-  const std::string base_snapshot = engine.Snapshot();
-  for (size_t i = half; i < requests.size(); ++i) engine.Apply(requests[i]);
-  const std::string delta = engine.SnapshotDelta(base, base_steps);
-
-  Engine revived(program, n, DenseOptions(/*force=*/true));
-  if (scenario.post_init) scenario.post_init(&revived);
-  ASSERT_TRUE(revived.Restore(base_snapshot).ok());
-  core::Status applied = revived.RestoreDelta(delta);
-  ASSERT_TRUE(applied.ok()) << applied.ToString();
-  EXPECT_EQ(revived.data(), engine.data());
-  EXPECT_EQ(revived.Snapshot(), engine.Snapshot());
 }
 
 }  // namespace

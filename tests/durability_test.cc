@@ -1,6 +1,6 @@
 /// The durable-store stack below the crash matrix:
 ///   * atomic-replace and append primitives (core/durable_io.h);
-///   * DurableStore segment rotation, incremental checkpoints, manifest
+///   * DurableStore segment rotation, snapshot checkpoints, manifest
 ///     swaps, orphan collection, and the bounded-replay revival contract;
 ///   * hostile-bytes fuzzing of the manifest and segment formats — every
 ///     single-byte mutation and every truncation is detected, never
@@ -128,24 +128,31 @@ TEST(DurableIoTest, TruncateAndRemoveDurable) {
 // DurableStore: rotation, checkpoints, GC, revival
 // ---------------------------------------------------------------------------
 
+/// The directory's file names, sorted (empty when it cannot be listed).
+std::vector<std::string> SortedNames(const std::string& dir) {
+  core::Result<std::vector<std::string>> names = core::ListDir(dir);
+  if (!names.ok()) return {};
+  std::vector<std::string> out = names.value();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Drives the store exactly as the recovery layer does: append, and on
 /// checkpoint_due write a blob naming the step (the store treats blobs as
-/// opaque bytes, so the test can use legible stand-ins).
+/// opaque bytes, so the test can use legible stand-ins). After every
+/// checkpoint the directory holds exactly the manifest, the new snapshot
+/// and the fresh segment.
 void DriveStore(DurableStore* store, const RequestSequence& requests,
-                std::string* latest_full, std::string* latest_delta) {
+                std::string* latest_full) {
   for (const Request& request : requests) {
     ASSERT_TRUE(store->Append({&request, 1}).ok());
     if (store->checkpoint_due()) {
-      const bool full = store->full_due();
-      const std::string blob =
-          (full ? "full@" : "delta@") + std::to_string(store->next_seq());
-      ASSERT_TRUE(store->Checkpoint(blob, full).ok());
-      if (full) {
-        *latest_full = blob;
-        latest_delta->clear();
-      } else {
-        *latest_delta = blob;
-      }
+      const std::string steps = std::to_string(store->next_seq());
+      *latest_full = "full@" + steps;
+      ASSERT_TRUE(store->Checkpoint(*latest_full).ok());
+      EXPECT_EQ(SortedNames(store->dir()),
+                (std::vector<std::string>{"MANIFEST", "full-" + steps + ".snap",
+                                          "seg-" + steps + ".log"}));
     }
   }
 }
@@ -158,9 +165,7 @@ TEST(DurableStoreTest, CreateAppendRotateAndReviveWithBoundedReplay) {
 
   DurableStoreOptions options;
   options.records_per_segment = 4;
-  options.full_snapshot_every = 3;
   std::string latest_full = "full@0";
-  std::string latest_delta;
   uint64_t appended = 0;
   {
     core::Result<DurableStore> created =
@@ -168,15 +173,15 @@ TEST(DurableStoreTest, CreateAppendRotateAndReviveWithBoundedReplay) {
     ASSERT_TRUE(created.ok()) << created.status().message();
     DurableStore store = std::move(created).value();
     EXPECT_TRUE(DurableStore::Exists(dir));
-    DriveStore(&store, requests, &latest_full, &latest_delta);
+    DriveStore(&store, requests, &latest_full);
     appended = store.next_seq();
     EXPECT_EQ(appended, requests.size());
     EXPECT_EQ(store.counters().appends, requests.size());
     EXPECT_EQ(store.counters().fsyncs, requests.size());  // default durable
     EXPECT_GT(store.counters().segments_rotated, 0u);
-    // 22 appends at interval 4 = 5 checkpoints, every 3rd one full.
-    EXPECT_EQ(store.counters().checkpoints + store.counters().full_snapshots,
-              5u + 1u /* the Create-time full */);
+    // 22 appends at interval 4 = 5 checkpoints, each a full snapshot.
+    EXPECT_EQ(store.counters().full_snapshots, 5u + 1u /* the Create-time one */);
+    EXPECT_EQ(store.counters().checkpoints, 0u);
   }
 
   core::Result<DurableStore> opened =
@@ -184,27 +189,21 @@ TEST(DurableStoreTest, CreateAppendRotateAndReviveWithBoundedReplay) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   const DurableRecovery& recovered = opened.value().recovered();
   EXPECT_EQ(recovered.full_blob, latest_full);
-  EXPECT_EQ(recovered.delta_blob, latest_delta);
   EXPECT_FALSE(recovered.torn_tail);
   // Replay is bounded by one segment, and is exactly the workload suffix
   // past the last checkpoint.
+  const uint64_t snapshot_steps = opened.value().manifest().full_steps;
   EXPECT_LE(recovered.replay.size(), options.records_per_segment);
-  EXPECT_EQ(recovered.checkpoint_steps + recovered.replay.size(), appended);
+  EXPECT_EQ(snapshot_steps + recovered.replay.size(), appended);
   for (size_t i = 0; i < recovered.replay.size(); ++i) {
-    EXPECT_EQ(recovered.replay[i],
-              requests[recovered.checkpoint_steps + i])
+    EXPECT_EQ(recovered.replay[i], requests[snapshot_steps + i])
         << "replay record " << i;
   }
   EXPECT_EQ(opened.value().next_seq(), appended);
 
   // GC: the directory holds exactly the manifest plus its referenced files.
-  core::Result<std::vector<std::string>> names = core::ListDir(dir);
-  ASSERT_TRUE(names.ok());
-  const Manifest& manifest = opened.value().manifest();
-  size_t expected =
-      2u /* MANIFEST + full */ + (manifest.delta_file.empty() ? 0u : 1u) +
-      manifest.segments.size();
-  EXPECT_EQ(names.value().size(), expected)
+  EXPECT_EQ(SortedNames(dir),
+            (std::vector<std::string>{"MANIFEST", "full-20.snap", "seg-20.log"}))
       << "directory holds unreferenced files";
   RemoveTree(dir);
 }
@@ -232,9 +231,7 @@ TEST(DurableStoreTest, AppendsAfterReviveContinueTheSequence) {
     for (size_t i = 3; i < requests.size(); ++i) {
       ASSERT_TRUE(store.Append({&requests[i], 1}).ok());
       if (store.checkpoint_due()) {
-        ASSERT_TRUE(store.Checkpoint("delta@" + std::to_string(store.next_seq()),
-                                     false)
-                        .ok());
+        ASSERT_TRUE(store.Checkpoint("full@" + std::to_string(store.next_seq())).ok());
       }
     }
   }
@@ -333,11 +330,8 @@ Manifest SampleManifest() {
   Manifest manifest;
   manifest.program = "reach_u";
   manifest.universe = 8;
-  manifest.full_file = "full-4.snap";
-  manifest.full_steps = 4;
-  manifest.delta_file = "delta-8.ckpt";
-  manifest.delta_base = 4;
-  manifest.delta_steps = 8;
+  manifest.full_file = "full-8.snap";
+  manifest.full_steps = 8;
   manifest.segments.push_back({"seg-8.log", 8});
   manifest.segments.push_back({"seg-12.log", 12});
   return manifest;
@@ -368,9 +362,18 @@ TEST(DurabilityFuzzTest, ManifestRejectsEveryTruncation) {
 TEST(DurabilityFuzzTest, ManifestRejectsStructuralDamage) {
   // Checksum-clean but semantically inconsistent manifests must still fail:
   // the parser validates the chain, not just the container.
-  Manifest bad_chain = SampleManifest();
-  bad_chain.delta_base = 3;  // delta not based on the full snapshot
-  EXPECT_FALSE(ParseManifest(FormatManifest(bad_chain)).ok());
+  //
+  // A store that ends in a delta checkpoint (the older two-kind format)
+  // carries a `delta` line; it is refused, not half-read.
+  const std::string with_delta =
+      "program reach_u\nuniverse 8\nfull full-4.snap steps=4\n"
+      "delta delta-8.ckpt base=4 steps=8\nseg seg-8.log first=8\nend\n";
+  core::Result<Manifest> delta_manifest =
+      ParseManifest(relational::WrapChecksummed("manifest", with_delta));
+  ASSERT_FALSE(delta_manifest.ok());
+  EXPECT_NE(delta_manifest.status().message().find("unrecognized keyword delta"),
+            std::string::npos)
+      << delta_manifest.status().message();
 
   Manifest bad_first = SampleManifest();
   bad_first.segments[0].first = 9;  // gap between checkpoint and first segment
@@ -381,7 +384,7 @@ TEST(DurabilityFuzzTest, ManifestRejectsStructuralDamage) {
   EXPECT_FALSE(ParseManifest(FormatManifest(bad_order)).ok());
 
   Manifest traversal = SampleManifest();
-  traversal.full_file = "../full-4.snap";  // escape the store directory
+  traversal.full_file = "../full-8.snap";  // escape the store directory
   EXPECT_FALSE(ParseManifest(FormatManifest(traversal)).ok());
 }
 
@@ -521,9 +524,8 @@ TEST(AttachDurabilityTest, ReviveIsBitIdenticalWithBoundedReplay) {
   RemoveTree(dir);
   auto program = programs::MakeReachUProgram();
   const RequestSequence requests = ReachWorkload(8, 41, 30);
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 8;
-  durability.store.full_snapshot_every = 2;
+  DurableStoreOptions durability;
+  durability.records_per_segment = 8;
 
   GuardedEngine first(program, 8, programs::ReachUOracle,
                       programs::ReachUInvariant, PlainOptions());
@@ -531,9 +533,8 @@ TEST(AttachDurabilityTest, ReviveIsBitIdenticalWithBoundedReplay) {
   for (const Request& request : requests) {
     ASSERT_TRUE(first.Apply(request).ok());
   }
-  ASSERT_GT(first.recovery_stats().checkpoints_written +
-                first.recovery_stats().full_snapshots_written,
-            0u);
+  ASSERT_GT(first.durable_store()->counters().full_snapshots,
+            1u /* more than the Create-time one */);
 
   GuardedEngine second(program, 8, programs::ReachUOracle,
                        programs::ReachUInvariant, PlainOptions());
@@ -544,7 +545,7 @@ TEST(AttachDurabilityTest, ReviveIsBitIdenticalWithBoundedReplay) {
   EXPECT_EQ(second.input(), first.input());
   EXPECT_EQ(second.engine().stats().requests, requests.size());
   EXPECT_LE(second.recovery_stats().replayed_on_recovery,
-            durability.store.records_per_segment);
+            durability.records_per_segment);
   EXPECT_TRUE(second.CheckNow().ok());
 
   // The revived session keeps going: appends, checkpoints, revives again.
@@ -564,28 +565,28 @@ TEST(AttachDurabilityTest, CompactConsolidatesToOneFullSnapshot) {
   const std::string dir = TempDirFor("attach_compact");
   RemoveTree(dir);
   auto program = programs::MakeReachUProgram();
-  const RequestSequence requests = ReachWorkload(8, 47, 20);
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 4;
-  durability.store.full_snapshot_every = 100;  // deltas only, until Compact
+  // 22 requests at interval 4: checkpoints at 4..20, two records pending.
+  const RequestSequence requests = ReachWorkload(8, 47, 22);
+  DurableStoreOptions durability;
+  durability.records_per_segment = 4;
 
   GuardedEngine guarded(program, 8, nullptr, nullptr, PlainOptions());
   ASSERT_TRUE(guarded.AttachDurability(dir, durability).ok());
   for (const Request& request : requests) {
     ASSERT_TRUE(guarded.Apply(request).ok());
   }
-  ASSERT_GT(guarded.recovery_stats().checkpoints_written, 0u);
-
-  ASSERT_TRUE(guarded.Compact().ok());
   const DurableStore* store = guarded.durable_store();
   ASSERT_NE(store, nullptr);
-  EXPECT_TRUE(store->manifest().delta_file.empty());
+  ASSERT_GT(store->counters().full_snapshots, 1u);
+  ASSERT_EQ(store->active_records(), 2u);
+
+  ASSERT_TRUE(guarded.Compact().ok());
+  EXPECT_EQ(store->active_records(), 0u);
   EXPECT_EQ(store->manifest().segments.size(), 1u);
   EXPECT_EQ(store->manifest().full_steps, requests.size());
-  // Directory = MANIFEST + full snapshot + one (empty) active segment.
-  core::Result<std::vector<std::string>> names = core::ListDir(dir);
-  ASSERT_TRUE(names.ok());
-  EXPECT_EQ(names.value().size(), 3u);
+  // Directory = MANIFEST + the snapshot + one (empty) active segment.
+  EXPECT_EQ(SortedNames(dir),
+            (std::vector<std::string>{"MANIFEST", "full-22.snap", "seg-22.log"}));
 
   // A post-compact revival replays nothing.
   GuardedEngine revived(program, 8, nullptr, nullptr, PlainOptions());

@@ -61,6 +61,20 @@ TEST(ParserTest, QuantifiersAndComparisons) {
   EXPECT_EQ(h.value()->kind(), FormulaKind::kBit);
 }
 
+/// `E(s, t)` under `depth` levels of one nesting construct: '(' ... ')',
+/// '!', an `exists` body, or a right-associated '->' chain.
+std::vector<std::string> NestedFormulas(int depth) {
+  std::string parens, bangs, quantifiers, arrows = "E(s, t)";
+  for (int i = 0; i < depth; ++i) {
+    parens += "(";
+    bangs += "!";
+    quantifiers += "exists x. ";
+    arrows += " -> E(s, t)";
+  }
+  return {parens + "E(s, t)" + std::string(depth, ')'), bangs + "E(s, t)",
+          quantifiers + "E(x, t)", arrows};
+}
+
 TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseFormula("E(x", GraphVocabulary()).ok());
   EXPECT_FALSE(ParseFormula("E(x, y, z)", GraphVocabulary()).ok());  // arity
@@ -69,6 +83,29 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseFormula("x ==> y", GraphVocabulary()).ok());
   EXPECT_FALSE(ParseFormula("E(x, y) E(y, z)", GraphVocabulary()).ok());
   EXPECT_FALSE(ParseFormula("BIT(x)", GraphVocabulary()).ok());
+  // One level past the nesting limit, for each construct that nests.
+  for (const std::string& text : NestedFormulas(kMaxFormulaNesting + 1)) {
+    auto parsed = ParseFormula(text, GraphVocabulary());
+    ASSERT_FALSE(parsed.ok()) << text.substr(0, 40);
+    EXPECT_NE(parsed.status().message().find("nested deeper"), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(ParserTest, NestingAtTheLimitParsesAndEvaluates) {
+  auto vocab = GraphVocabulary();
+  Structure structure(vocab, 4);
+  structure.relation("E").Insert({0, 1});
+  structure.set_constant("t", 1);
+  EvalContext ctx(structure, {});
+  // E(s, t) and exists x. E(x, t) hold here, and every wrapping keeps the
+  // truth value (the '!' count, 256, is even), so each formula holds.
+  for (const std::string& text : NestedFormulas(kMaxFormulaNesting)) {
+    auto parsed = ParseFormula(text, vocab);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_TRUE(NaiveEvaluator::HoldsSentence(parsed.value(), ctx))
+        << text.substr(0, 40);
+  }
 }
 
 TEST(ParserTest, MacrosExpandWithSubstitution) {

@@ -1,10 +1,10 @@
 /// The fault-tolerance pipeline end to end:
 ///   * kill-and-recover: a GuardedEngine with a durable store revives
 ///     bit-identical state (engine snapshot and shadowed input) after a
-///     simulated kill — full snapshot + delta checkpoint + a partial
-///     segment, with a torn segment tail on half the trials — over many
-///     seeded trials of three structurally different programs (REACH_u,
-///     matching, multiplication) and over every registry program;
+///     simulated kill — the latest snapshot + a partial segment, with a
+///     torn segment tail on half the trials — over many seeded trials of
+///     three structurally different programs (REACH_u, matching,
+///     multiplication) and over every registry program;
 ///   * fault injection: every corrupting flip of a load-bearing auxiliary
 ///     relation is detected by the GuardedEngine's checks and repaired by
 ///     start-over recovery;
@@ -134,7 +134,7 @@ GuardedEngineOptions UncheckedOptions(EnginePostInit post_init) {
 /// replay stayed within one segment.
 void ExpectRevivesIdentically(const GuardedEngine& doomed, bool torn,
                               const std::string& dir,
-                              const DurabilityOptions& durability,
+                              const DurableStoreOptions& durability,
                               GuardedEngine* revived, const std::string& label) {
   if (torn) {
     std::ofstream tail(ActiveSegmentPath(doomed), std::ios::binary | std::ios::app);
@@ -144,7 +144,7 @@ void ExpectRevivesIdentically(const GuardedEngine& doomed, bool torn,
   ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
   EXPECT_EQ(revived->durable_store()->recovered().torn_tail, torn) << label;
   EXPECT_LE(revived->recovery_stats().replayed_on_recovery,
-            durability.store.records_per_segment)
+            durability.records_per_segment)
       << label;
   EXPECT_EQ(revived->engine().Snapshot(), doomed.engine().Snapshot()) << label;
   EXPECT_EQ(relational::WriteStructure(revived->input()),
@@ -170,13 +170,12 @@ class RecoveryPrograms : public ::testing::TestWithParam<size_t> {};
 /// Kill-and-recover over 51 seeded trials across the three programs
 /// (17 x 3), each reviving BIT-IDENTICAL state from the durable store, with
 /// a torn segment tail on every other seed. Small segments put the kill
-/// point anywhere relative to checkpoints and consolidations.
+/// point anywhere relative to checkpoints.
 TEST_P(RecoveryPrograms, KillAndRecoverIsBitIdentical) {
   const RecoveryScenario scenario = Scenarios()[GetParam()];
   auto program = scenario.program();
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 4;
-  durability.store.full_snapshot_every = 3;
+  DurableStoreOptions durability;
+  durability.records_per_segment = 4;
   for (uint64_t seed = 1; seed <= 17; ++seed) {
     const RequestSequence requests = scenario.workload(seed);
     core::Rng rng(seed * 1000 + GetParam());
@@ -298,8 +297,8 @@ TEST(RecoveryTest, InvalidRequestsAreRejectedWithoutSideEffects) {
 /// Durable revival on DELTA-enabled engines (the production configuration:
 /// in-place diffs over CoW relations), across every program in the
 /// registry: the replayed Applies land on incrementally maintained state
-/// restored from a full snapshot plus a delta checkpoint, and must still
-/// converge bit-identically with the session that died.
+/// restored from a checkpoint snapshot, and must still converge
+/// bit-identically with the session that died.
 class SnapshotJournalAllPrograms : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SnapshotJournalAllPrograms, DeltaEngineReplayIsBitIdentical) {
@@ -307,19 +306,18 @@ TEST_P(SnapshotJournalAllPrograms, DeltaEngineReplayIsBitIdentical) {
       programs::AllScenarios()[GetParam()];
   auto program = scenario.make_program();
   const size_t n = scenario.default_universe;
-  // Checkpoint k lands after 4k requests and is a full consolidation when
-  // k % 3 == 0. The history is cut to end on a delta checkpoint plus a
-  // partial segment, so revival needs all three layers.
-  DurabilityOptions durability;
-  durability.store.records_per_segment = 4;
-  durability.store.full_snapshot_every = 3;
+  // Checkpoint k lands after 4k requests. The history is cut to end past
+  // at least one checkpoint on a partial segment, so revival needs both
+  // the snapshot and the replay.
+  DurableStoreOptions durability;
+  durability.records_per_segment = 4;
   GuardedEngineOptions options = UncheckedOptions(scenario.post_init);
   options.engine_options.use_delta = true;  // the configuration under test, explicit
 
   for (const uint64_t seed : {31, 32}) {
     RequestSequence requests = scenario.make_workload(n, seed);
     size_t length = requests.size();
-    while (length > 0 && (length % 4 == 0 || (length / 4) % 3 == 0)) --length;
+    while (length > 0 && length % 4 == 0) --length;
     ASSERT_GT(length, 4u) << scenario.name << ": workload too short";
     requests.resize(length);
     const std::string dir =
@@ -335,7 +333,7 @@ TEST_P(SnapshotJournalAllPrograms, DeltaEngineReplayIsBitIdentical) {
     ExpectRevivesIdentically(doomed, /*torn=*/seed % 2 == 0, dir, durability,
                              &revived,
                              scenario.name + " seed " + std::to_string(seed));
-    EXPECT_FALSE(revived.durable_store()->manifest().delta_file.empty())
+    EXPECT_GT(revived.durable_store()->manifest().full_steps, 0u)
         << scenario.name;
     EXPECT_GT(revived.recovery_stats().replayed_on_recovery, 0u) << scenario.name;
     RemoveTree(dir);
@@ -398,6 +396,15 @@ TEST(RecoveryTest, CorruptSnapshotIsRejectedByRestore) {
         << "trial " << trial << " accepted a damaged snapshot (" << description
         << ")";
   }
+  // Checksum-clean, but its header universe would size a 2 TB dense page:
+  // refused before anything is allocated, and the engine is untouched.
+  const std::string oversized = relational::WrapChecksummed(
+      "snapshot",
+      "program reach_u\nsteps 0\nstructure n=4000000\n"
+      "dense E words=250000000000 z250000000000\nend\n");
+  const std::string before = session.Snapshot();
+  EXPECT_FALSE(session.Restore(oversized).ok());
+  EXPECT_EQ(session.Snapshot(), before);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "core/fault.h"
 #include "core/rng.h"
+#include "programs/parity.h"
 #include "programs/reach_u.h"
 #include "relational/request.h"
 #include "relational/serialize.h"
@@ -144,10 +145,17 @@ TEST(SerializeFuzzTest, RawReaderRejectsStructuralDamage) {
       "structure n=18446744073709551616\nend\n",  // u64 overflow
       "structure n=4294967297\nend\n",       // beyond Element range
       "",                                     // empty
+      // A dense page the cost model would never build: the header's n
+      // alone would size a 2 TB plane before any word is read.
+      "structure n=4000000\ndense E words=250000000000 z250000000000\nend\n",
   };
   for (const std::string& text : cases) {
     EXPECT_FALSE(ReadStructure(text, vocab).ok()) << "accepted: " << text;
   }
+  // The arity-1 shape of the same attack: a 512 MiB bitmap at n=2^32.
+  const std::string unary_page =
+      "structure n=4294967296\ndense M words=67108864 z67108864\nend\n";
+  EXPECT_FALSE(ReadStructure(unary_page, programs::ParityInputVocabulary()).ok());
 }
 
 }  // namespace

@@ -603,6 +603,19 @@ TEST(ServiceDispatchTest, DeadlinesPastTheClockNeverExpire) {
   EXPECT_EQ(service.stats().admission_timeouts, 0u);
 }
 
+TEST(ServiceDispatchTest, DeeplyNestedEvalIsAUsageErrorAndTheServerLives) {
+  EngineService service(programs::MakeParityProgram(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const EngineService::SessionId session = MustOpen(&service);
+  // 5000 nested parentheses: far past the parser's nesting limit, and deep
+  // enough to overflow its stack if it recursed into all of them.
+  const std::string frame =
+      "eval " + std::string(5000, '(') + "M(0)" + std::string(5000, ')');
+  const std::string response = server.Dispatch(session, frame);
+  EXPECT_EQ(response.rfind("2 ", 0), 0u) << response.substr(0, 80);
+  EXPECT_EQ(server.Dispatch(session, "ping"), wire::EncodeResponse(0, "pong"));
+}
+
 TEST(ServiceDispatchTest, QueryWithoutABooleanQueryIsAUsageError) {
   core::Result<std::shared_ptr<const dyn::DynProgram>> program =
       dyn::LoadProgramFromText(

@@ -16,12 +16,13 @@
 ///                      DESIGN.md §13; `stats` reports the live choice.
 ///   --durable-dir=DIR  run against the segmented durable store in DIR:
 ///                      every applied request is fsynced into the active
-///                      segment and every filled segment triggers an
-///                      incremental checkpoint. If DIR already holds a
-///                      store the session is revived from it (full snapshot
-///                      + delta + at most one segment of replay), so
-///                      restarting with the same DIR resumes the session.
-///                      `restore` and `load` are disabled in this mode.
+///                      segment and every filled segment triggers a
+///                      checkpoint, a full snapshot of the session. If DIR
+///                      already holds a store the session is revived from
+///                      it (the snapshot + at most one segment of replay),
+///                      so restarting with the same DIR resumes the
+///                      session. `restore` and `load` are disabled in this
+///                      mode.
 ///   --checkpoint-interval=N
 ///                      records per segment (= checkpoint interval and the
 ///                      recovery replay bound) for --durable-dir; default 64
@@ -66,8 +67,8 @@
 ///   snapshot <file>                  write a checksummed engine snapshot
 ///                                    (state + step counter)
 ///   restore <file>                   restore a snapshot written by snapshot
-///   compact                          (--durable-dir only) force a full-
-///                                    snapshot consolidation now
+///   compact                          (--durable-dir only) checkpoint now:
+///                                    one snapshot, one empty segment
 ///   quit
 
 #include <cstdio>
@@ -375,12 +376,11 @@ int Run(Session* session, std::istream& in, bool interactive) {
             session->guarded->durable_store()->counters();
         std::printf(
             "durable: appends=%llu batch_appends=%llu bytes=%llu fsyncs=%llu "
-            "checkpoints=%llu full=%llu rotated=%llu collected=%llu\n",
+            "full=%llu rotated=%llu collected=%llu\n",
             static_cast<unsigned long long>(c.appends),
             static_cast<unsigned long long>(c.batch_appends),
             static_cast<unsigned long long>(c.bytes_appended),
             static_cast<unsigned long long>(c.fsyncs),
-            static_cast<unsigned long long>(c.checkpoints),
             static_cast<unsigned long long>(c.full_snapshots),
             static_cast<unsigned long long>(c.segments_rotated),
             static_cast<unsigned long long>(c.files_collected));
@@ -591,9 +591,9 @@ int main(int argc, char** argv) {
     options.governance.governance = governance;
     guarded.emplace(program.value(), n, /*oracle=*/nullptr,
                     /*invariant=*/nullptr, options);
-    dynfo::dyn::DurabilityOptions durability;
+    dynfo::dyn::DurableStoreOptions durability;
     if (checkpoint_interval != 0) {
-      durability.store.records_per_segment = checkpoint_interval;
+      durability.records_per_segment = checkpoint_interval;
     }
     const bool revived = dynfo::dyn::DurableStore::Exists(durable_dir);
     dynfo::core::Status attached =
