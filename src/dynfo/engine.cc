@@ -817,11 +817,10 @@ void Engine::Commit(const RequestPlan& plan, const relational::Request& request,
 }
 
 std::string Engine::Snapshot() const {
-  std::ostringstream payload;
-  payload << "program " << program_->name() << "\n";
-  payload << "steps " << stats_.requests << "\n";
-  payload << relational::WriteStructure(data_);
-  return relational::WrapChecksummed("snapshot", payload.str());
+  return relational::WrapChecksummed(
+      "snapshot", "program " + program_->name() + "\nsteps " +
+                      std::to_string(stats_.requests) + "\n" +
+                      relational::WriteStructure(data_));
 }
 
 core::Status Engine::Restore(const std::string& snapshot) {

@@ -1,7 +1,6 @@
 #include "dynfo/recovery.h"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "core/text.h"
@@ -294,11 +293,13 @@ core::Status GuardedEngine::Recover(const std::string& reason) {
 std::string GuardedEngine::MakeSessionBlob() const {
   const std::string engine_blob = engine_->Snapshot();
   const std::string input_text = relational::WriteStructure(input_);
-  std::ostringstream payload;
-  payload << "steps " << stats_.requests << "\n";
-  payload << "engine " << engine_blob.size() << "\n" << engine_blob;
-  payload << "input " << input_text.size() << "\n" << input_text;
-  return relational::WrapChecksummed("session", payload.str());
+  std::string payload = "steps " + std::to_string(stats_.requests) + "\nengine " +
+                        std::to_string(engine_blob.size()) + "\n";
+  payload.reserve(payload.size() + engine_blob.size() + input_text.size() + 32);
+  payload.append(engine_blob);
+  payload.append("input ").append(std::to_string(input_text.size())).push_back('\n');
+  payload.append(input_text);
+  return relational::WrapChecksummed("session", payload);
 }
 
 core::Status GuardedEngine::Compact() {

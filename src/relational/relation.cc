@@ -1,6 +1,8 @@
 #include "relational/relation.h"
 
-#include <algorithm>
+#include <array>
+#include <bit>
+#include <utility>
 
 namespace dynfo::relational {
 namespace {
@@ -154,9 +156,75 @@ core::Status Relation::ValidateIndexes() const {
   return core::Status();
 }
 
+namespace {
+
+/// Sorts tuples of one arity into lexicographic order. Such tuples compare
+/// as the numbers their elements spell in base 2^32, so an LSD radix sort
+/// over the elements' bytes, the last element's low byte first, orders
+/// them. Only the bytes the largest element needs are digits (two per
+/// element below 65536), and a digit on which every tuple agrees moves
+/// nothing and is skipped.
+void SortLexicographic(int arity, std::vector<Tuple>* tuples) {
+  const size_t count = tuples->size();
+  if (count < 2) return;
+  Element seen = 0;
+  for (const Tuple& t : *tuples) {
+    for (int p = 0; p < arity; ++p) seen |= t[p];
+  }
+  const int bytes = (std::bit_width(seen) + 7) / 8;
+  // counts[p * bytes + b][v]: how many tuples hold v in byte b of element
+  // p, all gathered in one pass.
+  std::vector<std::array<size_t, 256>> counts(static_cast<size_t>(arity * bytes));
+  for (const Tuple& t : *tuples) {
+    for (int p = 0; p < arity; ++p) {
+      for (int b = 0; b < bytes; ++b) ++counts[p * bytes + b][(t[p] >> (8 * b)) & 0xff];
+    }
+  }
+  std::vector<Tuple> scratch(count);
+  for (int p = arity - 1; p >= 0; --p) {
+    for (int b = 0; b < bytes; ++b) {
+      const int shift = 8 * b;
+      std::array<size_t, 256>& slot = counts[p * bytes + b];
+      if (slot[(tuples->front()[p] >> shift) & 0xff] == count) continue;
+      size_t next = 0;
+      for (size_t& c : slot) next += std::exchange(c, next);
+      for (const Tuple& t : *tuples) scratch[slot[(t[p] >> shift) & 0xff]++] = t;
+      tuples->swap(scratch);
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<Tuple> Relation::SortedTuples() const {
-  std::vector<Tuple> out(begin(), end());
-  std::sort(out.begin(), out.end());
+  // One walk over the stored slots. The base is read without the per-tuple
+  // `removed_` probe the iterator pays; the removed tuples (a subset of the
+  // base) are sorted too and dropped in one merge.
+  std::vector<Tuple> out;
+  out.reserve(BaseSize() + added_.size());
+  if (dense_ != nullptr) {
+    for (const Tuple& t : *dense_) out.push_back(t);
+  } else if (base_ != nullptr) {
+    for (const Tuple& t : *base_) out.push_back(t);
+  }
+  for (const Tuple& t : added_) out.push_back(t);
+  SortLexicographic(arity_, &out);
+  if (removed_.empty()) return out;
+
+  std::vector<Tuple> gone;
+  gone.reserve(removed_.size());
+  for (const Tuple& t : removed_) gone.push_back(t);
+  SortLexicographic(arity_, &gone);
+  size_t kept = 0;
+  auto next_gone = gone.begin();
+  for (const Tuple& t : out) {
+    if (next_gone != gone.end() && *next_gone == t) {
+      ++next_gone;
+    } else {
+      out[kept++] = t;
+    }
+  }
+  out.resize(kept);
   return out;
 }
 

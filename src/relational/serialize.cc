@@ -1,5 +1,6 @@
 #include "relational/serialize.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "core/text.h"
@@ -8,53 +9,79 @@ namespace dynfo::relational {
 
 namespace {
 
+/// Appends `value` in decimal.
+void AppendDecimal(std::string* out, uint64_t value) {
+  char digits[20];
+  out->append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+/// Emits one "rel <name> <e1> ... <ek>" line per tuple, in lexicographic
+/// tuple order.
+void WriteTupleLines(std::string* out, const std::string& name,
+                     const Relation& rel) {
+  const std::string prefix = "rel " + name;
+  for (const Tuple& t : rel.SortedTuples()) {
+    // " <element>" is at most 11 bytes (Element is 32 bits), plus '\n'.
+    char line[Tuple::kMaxArity * 11 + 1];
+    char* end = line;
+    for (int p = 0; p < t.size(); ++p) {
+      *end++ = ' ';
+      end = std::to_chars(end, end + 10, t[p]).ptr;
+    }
+    *end++ = '\n';
+    out->append(prefix);
+    out->append(line, end);
+  }
+}
+
 /// Emits a dense bitmap page: the word array with zero runs run-length
 /// encoded as "z<count>" and live words as 16-digit hex. The overlay is
 /// folded by the caller, so page bytes are a pure function of the logical
 /// contents plus the backend flag — flattening never changes a snapshot.
-void WriteDensePage(std::ostringstream* out, const std::string& name,
+void WriteDensePage(std::string* out, const std::string& name,
                     const DenseSet& set) {
-  *out << "dense " << name << " words=" << set.num_words();
+  out->append("dense ").append(name).append(" words=");
+  AppendDecimal(out, set.num_words());
   const uint64_t* words = set.words();
   const size_t count = set.num_words();
   for (size_t i = 0; i < count;) {
     if (words[i] == 0) {
       size_t run = 1;
       while (i + run < count && words[i + run] == 0) ++run;
-      *out << " z" << run;
+      out->append(" z");
+      AppendDecimal(out, run);
       i += run;
     } else {
-      *out << " " << core::HexU64(words[i]);
+      out->append(" ").append(core::HexU64(words[i]));
       ++i;
     }
   }
-  *out << "\n";
+  out->push_back('\n');
 }
 
 }  // namespace
 
 std::string WriteStructure(const Structure& structure) {
-  std::ostringstream out;
-  out << "structure n=" << structure.universe_size() << "\n";
+  std::string out = "structure n=";
+  AppendDecimal(&out, structure.universe_size());
+  out.push_back('\n');
   const Vocabulary& vocab = structure.vocabulary();
   for (int i = 0; i < vocab.num_relations(); ++i) {
     const std::string& name = vocab.relation(i).name;
     const Relation& rel = structure.relation(i);
     if (rel.backend() == RelationBackend::kDense) {
       WriteDensePage(&out, name, rel.DenseContents());
-      continue;
-    }
-    for (const Tuple& t : rel.SortedTuples()) {
-      out << "rel " << name;
-      for (int p = 0; p < t.size(); ++p) out << " " << t[p];
-      out << "\n";
+    } else {
+      WriteTupleLines(&out, name, rel);
     }
   }
   for (int j = 0; j < vocab.num_constants(); ++j) {
-    out << "const " << vocab.constant(j) << " " << structure.constant(j) << "\n";
+    out.append("const ").append(vocab.constant(j)).push_back(' ');
+    AppendDecimal(&out, structure.constant(j));
+    out.push_back('\n');
   }
-  out << "end\n";
-  return out.str();
+  out.append("end\n");
+  return out;
 }
 
 namespace {
@@ -233,9 +260,13 @@ core::Result<Structure> ReadStructure(const std::string& text,
 }
 
 std::string WrapChecksummed(const std::string& kind, const std::string& payload) {
-  std::string out = "dynfo " + kind + " v1 bytes=" + std::to_string(payload.size()) +
-                    "\n" + payload;
-  out += "checksum fnv1a " + core::HexU64(core::Fnv1a64(payload)) + "\n";
+  std::string out;
+  out.reserve(kind.size() + payload.size() + 96);
+  out.append("dynfo ").append(kind).append(" v1 bytes=");
+  AppendDecimal(&out, payload.size());
+  out.push_back('\n');
+  out.append(payload);
+  out.append("checksum fnv1a ").append(core::HexU64(core::Fnv1a64(payload))).push_back('\n');
   return out;
 }
 

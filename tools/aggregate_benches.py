@@ -279,7 +279,9 @@ def derive_service(rows):
     ExecTier slot (slot 1, the retired compiled tier, reads 0). From
     BM_SnapshotViewO1: the worst copy-on-write-view vs deep-snapshot cost
     quotient across benched universe sizes — the O(1) publish claim as a
-    number.
+    number — and the deep snapshot's own cost at each size
+    (deep_snapshot_ns_n<size>), the quotient's denominator: a faster
+    serializer raises the quotient without the view getting slower.
     """
     service = {}
     # The soak registers with Iterations(1), so its name carries an
@@ -310,6 +312,11 @@ def derive_service(rows):
               "o1_ratio" in row.get("counters", {})]
     if ratios:
         service["snapshot_view_o1_ratio_max"] = round(max(ratios), 6)
+    for row in rows:
+        m = re.match(r"BM_SnapshotViewO1/(\d+)(?:/|$)", row["name"])
+        deep = row.get("counters", {}).get("deep_snapshot_ns")
+        if m and deep is not None:
+            service[f"deep_snapshot_ns_n{m.group(1)}"] = round(deep)
     return service
 
 
