@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/durable_io.h"
 #include "fo/parser.h"
 
 namespace dynfo::dyn {
@@ -310,6 +311,18 @@ core::Result<std::shared_ptr<const DynProgram>> LoadProgramFromText(
   core::Status valid = program->Validate();
   if (!valid.ok()) return valid;
   return std::shared_ptr<const DynProgram>(program);
+}
+
+core::Result<std::shared_ptr<const DynProgram>> LoadProgramFile(
+    const std::string& path) {
+  core::Result<std::string> text = core::ReadFileToString(path);
+  if (!text.ok()) return core::Status::Error("cannot open " + path);
+  auto program = LoadProgramFromText(text.value());
+  if (!program.ok()) {
+    return core::Status::Error("cannot load " + path + ": " +
+                               program.status().message());
+  }
+  return program;
 }
 
 }  // namespace dynfo::dyn

@@ -45,6 +45,11 @@ namespace dynfo::dyn {
 core::Result<std::shared_ptr<const DynProgram>> LoadProgramFromText(
     const std::string& text);
 
+/// Reads the spec file at `path` and loads it; the error names the file
+/// ("cannot open <path>" or "cannot load <path>: <why>").
+core::Result<std::shared_ptr<const DynProgram>> LoadProgramFile(
+    const std::string& path);
+
 }  // namespace dynfo::dyn
 
 #endif  // DYNFO_DYNFO_LOADER_H_

@@ -67,6 +67,14 @@ core::Result<SessionParse> ParseSession(const std::string& blob) {
   return out;
 }
 
+/// What start-over and the corruption checks answer once Restore has left
+/// the wrapper without a trusted input structure.
+core::Status NoTrustedInput(const std::string& what) {
+  return core::Status::Error(
+      what + " needs the input structure, and the engine snapshot restored "
+             "into this wrapper does not carry it");
+}
+
 }  // namespace
 
 GuardedEngine::GuardedEngine(std::shared_ptr<const DynProgram> program,
@@ -240,6 +248,7 @@ core::Status GuardedEngine::GovernedApply(const relational::Request& request) {
 }
 
 core::Status GuardedEngine::CheckNow() {
+  if (!input_trusted_) return NoTrustedInput("the corruption check");
   ++stats_.checks_run;
   // Index (derived-state) corruption is repairable in place: the tuples
   // are intact, so this is not a start-over event and does not count as a
@@ -264,6 +273,7 @@ core::Status GuardedEngine::CheckNow() {
 }
 
 core::Status GuardedEngine::Recover(const std::string& reason) {
+  if (!input_trusted_) return NoTrustedInput("start-over (" + reason + ")");
   const auto start = std::chrono::steady_clock::now();
   auto fresh = std::make_unique<Engine>(program_, input_.universe_size(),
                                         options_.engine_options);
@@ -304,14 +314,27 @@ std::string GuardedEngine::MakeSessionBlob() const {
 
 core::Status GuardedEngine::Compact() {
   if (!store_.has_value()) {
-    return core::Status::Error("Compact requires AttachDurability");
+    return core::Status::Error("compact needs a durable store");
   }
   return store_->Checkpoint(MakeSessionBlob());
 }
 
+core::Status GuardedEngine::Restore(const std::string& snapshot) {
+  if (store_.has_value()) {
+    return core::Status::Error(
+        "restore would desynchronize the durable store; use a fresh store "
+        "directory instead");
+  }
+  core::Status restored = engine_->Restore(snapshot);
+  if (!restored.ok()) return restored;
+  stats_.requests = engine_->stats().requests;
+  input_trusted_ = false;
+  return core::Status();
+}
+
 core::Status GuardedEngine::AttachDurability(const std::string& dir,
                                              DurableStoreOptions options) {
-  if (stats_.requests != 0 || store_.has_value()) {
+  if (stats_.requests != 0 || store_.has_value() || !input_trusted_) {
     return core::Status::Error(
         "AttachDurability must be called on a fresh GuardedEngine");
   }

@@ -171,6 +171,15 @@ class GuardedEngine {
   /// session as a new snapshot and collects the old one and its segment.
   core::Status Compact();
 
+  /// Replaces the engine state with an Engine::Snapshot() blob and moves
+  /// the request counter to the snapshot's step. Refused (kError, nothing
+  /// changed) while a durable store is attached: its journal would no
+  /// longer describe the engine. An engine snapshot does not carry the
+  /// input structure, so from then on the wrapper has no trusted input:
+  /// start-over and the corruption checks return an error instead of
+  /// rebuilding from the stale shadow.
+  core::Status Restore(const std::string& snapshot);
+
   bool durability_attached() const { return store_.has_value(); }
   /// The attached store (null when not attached) — counters and manifest.
   const DurableStore* durable_store() const {
@@ -187,7 +196,7 @@ class GuardedEngine {
   /// the cadence checks exist to catch.
   Engine* mutable_engine() { return engine_.get(); }
 
-  /// The shadowed input structure (ground truth).
+  /// The shadowed input structure (ground truth; stale after Restore).
   const relational::Structure& input() const { return input_; }
 
   const RecoveryStats& recovery_stats() const { return stats_; }
@@ -227,6 +236,9 @@ class GuardedEngine {
   InvariantCheck invariant_;
   std::unique_ptr<Engine> engine_;
   relational::Structure input_;
+  /// False once Restore replaced the engine state: input_ no longer
+  /// describes it.
+  bool input_trusted_ = true;
   std::optional<DurableStore> store_;
   RecoveryStats stats_;
   std::string last_quarantine_;

@@ -18,11 +18,56 @@ namespace dynfo::dyn {
 using relational::Element;
 using relational::Request;
 
+namespace {
+
+/// Dispatch's answer to `quit` and `exit`.
+constexpr char kQuitResponse[] = "0 bye";
+
+}  // namespace
+
 ExecTier ChooseReadTier(size_t waiting, size_t queue_limit, double shed_naive_at) {
   if (queue_limit == 0 || waiting == 0) return ExecTier::kCompiledIndexed;
   const double load =
       static_cast<double>(waiting) / static_cast<double>(queue_limit);
   return load >= shed_naive_at ? ExecTier::kNaive : ExecTier::kCompiledIndexed;
+}
+
+ServiceOptions ToolServiceOptions() {
+  ServiceOptions options;
+  options.engine.engine_options.use_dense_relations = true;
+  options.engine.check_every = 0;
+  return options;
+}
+
+bool ParseEngineFlag(const std::string& arg, ServiceOptions* options,
+                     std::string* error) {
+  EngineOptions& engine = options->engine.engine_options;
+  ApplyGovernance& governance = options->engine.governance.governance;
+  const size_t eq = arg.find('=');
+  const std::string flag = arg.substr(0, eq);
+  const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+  uint64_t parsed = 0;
+  if (flag == "--backend") {
+    if (value != "auto" && value != "hash" && value != "dense") {
+      *error = "bad --backend value '" + value + "' (want auto|hash|dense)";
+    }
+    engine.use_dense_relations = value != "hash";
+    engine.force_dense_backend = value == "dense";
+  } else if (flag == "--deadline-ms") {
+    // deadline_ms is signed: larger values would wrap to "already expired".
+    if (!core::ParseU64(value, &parsed) || parsed == 0 || parsed > INT64_MAX) {
+      *error = "bad --deadline-ms value '" + value + "'";
+    }
+    governance.deadline_ms = static_cast<int64_t>(parsed);
+  } else if (flag == "--max-memory-mb") {
+    if (!core::ParseU64(value, &parsed) || parsed == 0) {
+      *error = "bad --max-memory-mb value '" + value + "'";
+    }
+    governance.limits.max_bytes = parsed * 1024 * 1024;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 EngineService::EngineService(std::shared_ptr<const DynProgram> program,
@@ -192,9 +237,22 @@ core::Status EngineService::ApplyBatch(SessionId session,
 
 core::Status EngineService::Restore(const std::string& snapshot) {
   writer_mutex_.lock();
-  core::Status restored = guarded_.mutable_engine()->Restore(snapshot);
+  core::Status restored = guarded_.Restore(snapshot);
   FinishWrite(/*publish=*/restored.ok());
   return restored;
+}
+
+core::Status EngineService::AttachDurability(const std::string& dir,
+                                             DurableStoreOptions options) {
+  writer_mutex_.lock();
+  core::Status attached = guarded_.AttachDurability(dir, options);
+  FinishWrite(/*publish=*/attached.ok());
+  return attached;
+}
+
+core::Status EngineService::Compact() {
+  std::lock_guard<WriterLock> lock(writer_mutex_);
+  return guarded_.Compact();
 }
 
 core::Status EngineService::ReloadProgram(
@@ -297,6 +355,24 @@ ServiceStats EngineService::stats() const {
       snapshots_published_.load(std::memory_order_relaxed);
   out.snapshots_reclaimed =
       snapshots_reclaimed_.load(std::memory_order_relaxed);
+  return out;
+}
+
+EngineService::WriterStats EngineService::writer_stats() {
+  std::lock_guard<WriterLock> lock(writer_mutex_);
+  const Engine& engine = guarded_.engine();
+  WriterStats out;
+  out.engine = engine.stats();
+  out.eval = engine.eval_stats();
+  const relational::Vocabulary& vocabulary = *engine.program().data_vocabulary();
+  for (int i = 0; i < vocabulary.num_relations(); ++i) {
+    out.dense.emplace_back(vocabulary.relation(i).name,
+                           engine.data().relation(i).backend() ==
+                               relational::RelationBackend::kDense);
+  }
+  if (const DurableStore* store = guarded_.durable_store()) {
+    out.durable = store->counters();
+  }
   return out;
 }
 
@@ -420,14 +496,9 @@ void ServiceServer::ServeConnection(int fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
     core::Status got = wire::ReadFrame(fd, &request);
     if (!got.ok()) break;  // orderly close, churn kill, or transport error
-    std::vector<std::string> words = wire::SplitWords(
-        request.substr(0, request.find('\n')));
-    if (!words.empty() && (words[0] == "quit" || words[0] == "exit")) {
-      (void)wire::WriteFrame(fd, wire::EncodeResponse(0, "bye"));
-      break;
-    }
-    std::string response = Dispatch(session, request);
-    if (!wire::WriteFrame(fd, response).ok()) break;
+    const std::string response = Dispatch(session, request);
+    // `quit`'s answer is the one that also ends the connection.
+    if (!wire::WriteFrame(fd, response).ok() || response == kQuitResponse) break;
   }
   FinishConnection(fd);
   service_->CloseSession(session);
@@ -593,6 +664,8 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
 
   if (command == "stats") {
     const ServiceStats stats = service_->stats();
+    const EngineService::WriterStats writer = service_->writer_stats();
+    const Engine::Stats& engine = writer.engine;
     std::ostringstream out;
     out << "sessions=" << (stats.sessions_opened - stats.sessions_closed)
         << " writes_applied=" << stats.writes_applied
@@ -605,11 +678,49 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
         << " reads_tier2=" << stats.reads_tier[2]
         << " snapshots_published=" << stats.snapshots_published
         << " snapshots_reclaimed=" << stats.snapshots_reclaimed
-        << " retained_versions=" << service_->retained_versions();
+        << " retained_versions=" << service_->retained_versions()
+        << "\nrequests=" << engine.requests
+        << " recomputed=" << engine.relations_recomputed
+        << " delta=" << engine.delta_applications << " +"
+        << engine.tuples_inserted << "/-" << engine.tuples_erased
+        << " tuples batches=" << engine.batches
+        << " batch_requests=" << engine.batch_requests << "\nbackend:";
+    for (const auto& [name, dense] : writer.dense) {
+      out << ' ' << name << '=' << (dense ? "dense" : "hash");
+    }
+    out << " conversions=" << writer.eval.backend_conversions
+        << " dense_applies=" << engine.dense_applies
+        << " kernels=" << writer.eval.dense_kernel_launches
+        << " words=" << writer.eval.words_scanned;
+    if (writer.durable.has_value()) {
+      const DurableStore::Counters& c = *writer.durable;
+      out << "\ndurable: appends=" << c.appends
+          << " batch_appends=" << c.batch_appends
+          << " bytes=" << c.bytes_appended << " fsyncs=" << c.fsyncs
+          << " full=" << c.full_snapshots << " rotated=" << c.segments_rotated
+          << " collected=" << c.files_collected;
+    }
     return EncodeResponse(0, out.str());
   }
 
+  if (command == "dump") {
+    EngineService::ReadPin pin = service_->PinVersion();
+    std::string body = "v=" + std::to_string(pin.version()) + "\n" +
+                       pin.data().ToString();
+    body.pop_back();  // the structure's closing newline
+    return EncodeResponse(0, body);
+  }
+
+  if (command == "compact") {
+    core::Status compacted = service_->Compact();
+    if (!compacted.ok()) {
+      return EncodeResponse(ExitCodeFor(compacted.code()), compacted.ToString());
+    }
+    return EncodeResponse(0, "ok");
+  }
+
   if (command == "ping") return EncodeResponse(0, "pong");
+  if (command == "quit" || command == "exit") return kQuitResponse;
 
   return EncodeResponse(2, "unknown command '" + command + "'");
 }

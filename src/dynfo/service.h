@@ -25,6 +25,11 @@
 ///     they shed from the compiled+indexed read tier to the naive
 ///     reference evaluator, which answers point probes without building
 ///     the indexes each newly published version starts without.
+///
+/// ServiceServer::Dispatch is the one interpreter of the script grammar:
+/// dynfo_server runs it per connection, and dynfo_cli runs it in process
+/// on a socketless ServiceServer, so both front ends answer every command
+/// alike (wire::RunScript prints the answers).
 
 #ifndef DYNFO_DYNFO_SERVICE_H_
 #define DYNFO_DYNFO_SERVICE_H_
@@ -36,9 +41,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dynfo/recovery.h"
@@ -74,6 +81,18 @@ struct ServiceOptions {
   /// this: it is an intent log and may hold rejected requests.)
   bool record_applied_history = false;
 };
+
+/// The options dynfo_cli and dynfo_server start from: the auto backend
+/// (the density cost model picks hash or dense per relation) and no
+/// cadence checks, since the tools have no oracle.
+ServiceOptions ToolServiceOptions();
+
+/// Parses one of the flags dynfo_cli and dynfo_server share into `options`:
+/// --backend=auto|hash|dense, --deadline-ms=N (at most 2^63-1) and
+/// --max-memory-mb=N (the service-wide governance). Returns false when
+/// `arg` is none of them; a malformed value returns true with `error` set.
+bool ParseEngineFlag(const std::string& arg, ServiceOptions* options,
+                     std::string* error);
 
 /// Monotone counters; read with stats() (a coherent-enough snapshot — each
 /// counter is individually atomic).
@@ -135,19 +154,30 @@ class EngineService {
                           std::span<const relational::Request> requests,
                           BatchReport* report = nullptr);
 
-  /// Writer-path state replacement: Engine::Restore under the writer lock,
-  /// then a republish so subsequent readers pin the restored state.
-  /// Readers already pinned keep their pre-restore version — snapshot
-  /// isolation holds across restores.
+  /// Writer-path state replacement: GuardedEngine::Restore under the
+  /// writer lock (refused while a durable store is attached), then a
+  /// republish so subsequent readers pin the restored state. Readers
+  /// already pinned keep their pre-restore version — snapshot isolation
+  /// holds across restores.
   core::Status Restore(const std::string& snapshot);
+
+  /// Attaches the durable store at `dir` under the writer lock
+  /// (GuardedEngine::AttachDurability: a store already in `dir` is revived)
+  /// and republishes, so readers pin the revived state. Call it before the
+  /// first write; on an error the service must be discarded.
+  core::Status AttachDurability(const std::string& dir,
+                                DurableStoreOptions options = {});
+
+  /// Checkpoints the attached durable store now (GuardedEngine::Compact).
+  core::Status Compact();
 
   /// Writer-path program swap (Engine::ReloadProgram: same vocabulary
   /// objects). Published versions each carry the program they were built
   /// under, so pinned readers keep evaluating against the old program.
   core::Status ReloadProgram(std::shared_ptr<const DynProgram> program);
 
-  /// Serializing snapshot of the live state (writer-path; for parity with
-  /// the CLI's `snapshot` command and the soak's bit-identical final check).
+  /// Serializing engine snapshot of the live state (writer-path; the CLI's
+  /// `snapshot` command and the soak's bit-identical final check).
   std::string Snapshot();
 
   // -- Reads (never take the writer lock; snapshot-isolated) ---------------
@@ -218,6 +248,19 @@ class EngineService {
   // -- Introspection -------------------------------------------------------
 
   ServiceStats stats() const;
+
+  /// Counters the engine and the durable store keep as plain fields,
+  /// which only the writer may touch; writer_stats() copies them under the
+  /// writer lock.
+  struct WriterStats {
+    Engine::Stats engine;
+    fo::EvalStats eval;
+    /// Each data relation's name and whether it is stored dense.
+    std::vector<std::pair<std::string, bool>> dense;
+    std::optional<DurableStore::Counters> durable;  ///< when attached
+  };
+  WriterStats writer_stats();
+
   /// Published versions currently retained (>= 1: the newest).
   size_t retained_versions() const;
   const ServiceOptions& options() const { return options_; }
@@ -364,7 +407,8 @@ class ServiceServer {
 
   /// One request line (or multi-line batch frame) through the grammar
   /// against `session`; returns the encoded "<code> <body>" response.
-  /// Exposed for tests and in-process (socketless) drivers.
+  /// Every connection runs its frames through here, and so do the
+  /// socketless callers: dynfo_cli, the tests and bench_e2e.
   std::string Dispatch(EngineService::SessionId session,
                        const std::string& request);
 

@@ -8,9 +8,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <thread>
 
@@ -410,6 +413,73 @@ int BackoffMs(const RetryPolicy& policy, int retry, core::Rng* rng) {
   const double jitter = 0.5 + 0.5 * rng->UnitDouble();
   int ms = static_cast<int>(backoff * jitter);
   return ms < 1 ? 1 : ms;
+}
+
+int RunScript(std::istream& in, std::ostream& out, bool interactive,
+              size_t batch_size,
+              const std::function<Response(const std::string&)>& call) {
+  // Sends one frame and prints the answer; returns the code that ends a
+  // script run (0 goes on).
+  const auto send = [&](const std::string& frame) {
+    const Response response = call(frame);
+    if (response.code == 0) {
+      out << response.body << '\n';
+      return 0;
+    }
+    out << "error[" << response.code << "]: "
+        << (response.body.empty() ? "request failed" : response.body) << '\n';
+    return interactive ? 0 : response.code;
+  };
+  std::string group;  // the pending --batch-size run, as a batch frame
+  size_t group_size = 0;
+  const auto flush = [&] {
+    if (group_size == 0) return 0;
+    group += "end";
+    group_size = 0;
+    std::string frame;
+    frame.swap(group);
+    return send(frame);
+  };
+  const auto prompt = [&] {
+    if (interactive) out << "dynfo> " << std::flush;
+  };
+  const auto read_line = [&in](std::string* line) {
+    if (!std::getline(in, *line)) return false;
+    line->erase(std::min(line->find('#'), line->size()));
+    return true;
+  };
+
+  std::string line;
+  int code = 0;
+  prompt();
+  while (read_line(&line)) {
+    const std::vector<std::string> words = SplitWords(line);
+    if (words.empty()) {
+      prompt();
+      continue;
+    }
+    Request parsed;
+    std::string error;
+    if (batch_size > 0 && ParseMutation(words, &parsed, &error)) {
+      group += (group_size == 0 ? "batch\n" : "") + line + '\n';
+      if (++group_size == batch_size && (code = flush()) != 0) return code;
+      continue;
+    }
+    if ((code = flush()) != 0) return code;
+    std::string frame = line;
+    if (words[0] == "batch") {
+      std::string inner;
+      while (read_line(&inner)) {
+        frame += '\n' + inner;
+        const std::vector<std::string> body = SplitWords(inner);
+        if (!body.empty() && body[0] == "end") break;
+      }
+    }
+    if ((code = send(frame)) != 0) return code;
+    if (words[0] == "quit" || words[0] == "exit") return 0;
+    prompt();
+  }
+  return flush();
 }
 
 Client::Client(Address address, RetryPolicy policy)

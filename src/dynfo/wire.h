@@ -15,14 +15,18 @@
 ///   5 resource exhausted (admission rejection -> retry with backoff)
 ///   6 corruption
 ///
-/// The grammar helpers here (SplitWords/ParseMutation/ParseElements) are
-/// the single parser shared by dynfo_cli, the server dispatch loop, and
-/// the client — one grammar, three front ends.
+/// One grammar, one interpreter, one runner: ServiceServer::Dispatch
+/// (service.h) interprets every command, using the grammar helpers here
+/// (SplitWords/ParseMutation/ParseElements); RunScript reads a script and
+/// prints the answers for both front ends — dynfo_client sends its frames
+/// over a socket, dynfo_cli hands them to Dispatch in process.
 
 #ifndef DYNFO_DYNFO_WIRE_H_
 #define DYNFO_DYNFO_WIRE_H_
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -141,6 +145,20 @@ struct Response {
   int code = 0;
   std::string body;
 };
+
+/// Runs a script through `call`, which sends one frame and returns its
+/// response. Each line loses its `#` comment; a `batch ... end` block
+/// travels as one frame. With `batch_size` > 0, each run of consecutive
+/// mutations travels as batch frames of up to that many; the run flushes
+/// before any other command, at `quit`/`exit` and at end of input, and a
+/// mutation that does not parse flushes it and is then sent alone. Prints
+/// each response body, or `error[<code>]: <message>`. Interactive runs
+/// prompt with `dynfo> ` and go on after errors; otherwise the first
+/// non-zero code ends the run and is returned. `quit`/`exit` end the run
+/// after their response.
+int RunScript(std::istream& in, std::ostream& out, bool interactive,
+              size_t batch_size,
+              const std::function<Response(const std::string&)>& call);
 
 /// A retrying connection to a ServiceServer. Call() sends one request frame
 /// and waits for the response; on a transport failure it reconnects, and on

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -185,6 +187,44 @@ TEST(ServiceConcurrencyTest, ReadersRaceReloadProgram) {
 
   EXPECT_GT(reads.load(), 0u);
   EXPECT_TRUE(service.ReadQueryBool());
+}
+
+TEST(ServiceConcurrencyTest, StatsRaceWriters) {
+  // `stats` reads counters the engine and the durable store keep as plain
+  // fields; Dispatch must copy them under the writer lock while writers
+  // commit.
+  const std::string dir = ::testing::TempDir() + "dynfo_service_stats_race";
+  std::filesystem::remove_all(dir);
+  EngineService service(programs::MakeParityProgram(), kUniverse,
+                        ConcurrencyOptions());
+  ASSERT_TRUE(service.AttachDurability(dir).ok());
+  dyn::ServiceServer server(&service, dyn::wire::Address{});
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&server, &service, w] {
+      core::Result<EngineService::SessionId> session = service.OpenSession();
+      ASSERT_TRUE(session.ok());
+      for (int round = 0; round < 40; ++round) {
+        const std::string x = std::to_string((w * 7 + round) % kUniverse);
+        ASSERT_EQ(server.Dispatch(session.value(), "ins M " + x), "0 ok");
+        ASSERT_EQ(server.Dispatch(session.value(), "del M " + x), "0 ok");
+      }
+    });
+  }
+  core::Result<EngineService::SessionId> reader = service.OpenSession();
+  ASSERT_TRUE(reader.ok());
+  for (int round = 0; round < 40; ++round) {
+    const std::string stats = server.Dispatch(reader.value(), "stats");
+    ASSERT_EQ(stats.rfind("0 sessions=", 0), 0u) << stats;
+    ASSERT_NE(stats.find("\nrequests="), std::string::npos) << stats;
+    ASSERT_NE(stats.find("\ndurable: appends="), std::string::npos) << stats;
+  }
+  for (std::thread& t : writers) t.join();
+
+  const std::string stats = server.Dispatch(reader.value(), "stats");
+  EXPECT_NE(stats.find("\nrequests=160 "), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" appends=160 "), std::string::npos) << stats;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceConcurrencyTest, PinsRaceReclamation) {

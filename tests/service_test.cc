@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/durable_io.h"
 #include "dynfo/loader.h"
 #include "dynfo/service.h"
 #include "dynfo/wire.h"
@@ -242,6 +245,57 @@ TEST(EngineServiceTest, RestoreRepublishesButKeepsPinnedReaders) {
   EXPECT_TRUE(service.ReadQueryBool());
   EXPECT_FALSE(service.QueryBool(even_pin));
   EXPECT_EQ(even_pin.data().relation("M").size(), 2u);
+}
+
+TEST(EngineServiceTest, StartOverAfterRestoreDoesNotUndoTheRestore) {
+  // Every rung above start-over fails, so each write rebuilds from the
+  // wrapper's input shadow. A restore leaves no trusted input to rebuild
+  // from: the write after it must fail, not resurrect pre-restore tuples.
+  dyn::ServiceOptions options = TestOptions();
+  options.engine.governance.inject_for_test = [](ExecTier) {
+    return core::Status::ResourceExhausted("injected");
+  };
+  EngineService service(programs::MakeParityProgram(), 8, options);
+  const EngineService::SessionId session = MustOpen(&service);
+  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {1})).ok());
+  const std::string one = service.Snapshot();
+  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {2})).ok());
+  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {3})).ok());
+  ASSERT_TRUE(service.Restore(one).ok());
+
+  const core::Status applied = service.Apply(session, Request::Insert("M", {5}));
+  EXPECT_EQ(applied.code(), core::StatusCode::kError) << applied.ToString();
+  EXPECT_NE(applied.message().find("input structure"), std::string::npos)
+      << applied.ToString();
+  EXPECT_EQ(service.PinVersion().data().relation("M").ToString(), "{(1)}");
+  EXPECT_EQ(service.recovery_stats().requests, 1u);
+}
+
+TEST(EngineServiceTest, RestoreIsRefusedOnADurableService) {
+  const std::string dir = ::testing::TempDir() + "dynfo_service_restore_refused";
+  std::filesystem::remove_all(dir);
+  EngineService service(programs::MakeParityProgram(), 8, TestOptions());
+  ASSERT_TRUE(service.AttachDurability(dir).ok());
+  const EngineService::SessionId session = MustOpen(&service);
+  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {1})).ok());
+  const std::string one = service.Snapshot();
+  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {2})).ok());
+
+  // Every file's name and bytes, before and after the refused restore.
+  const auto store_files = [&dir] {
+    std::map<std::string, std::string> files;
+    const core::Result<std::vector<std::string>> names = core::ListDir(dir);
+    for (const std::string& name : names.value()) {
+      files[name] = core::ReadFileToString(dir + "/" + name).value();
+    }
+    return files;
+  };
+  const std::map<std::string, std::string> before = store_files();
+  const core::Status restored = service.Restore(one);
+  EXPECT_EQ(restored.code(), core::StatusCode::kError) << restored.ToString();
+  EXPECT_EQ(store_files(), before);
+  EXPECT_EQ(service.PinVersion().data().relation("M").size(), 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineServiceTest, ReloadProgramKeepsPinnedProgramAlive) {

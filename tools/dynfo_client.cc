@@ -7,84 +7,24 @@
 ///   dynfo_client [--connect=ADDR] [--retries=N] [--backoff-ms=N]
 ///                [--max-backoff-ms=N] [--jitter-seed=N] [script-file]
 ///
-/// With a script file, commands replay in order and the first failure stops
-/// the run with the wire code as the exit code (the dynfo_cli taxonomy:
-/// 0 ok, 1 error, 2 usage, 3 cancelled, 4 deadline, 5 resource,
-/// 6 corruption). Without one, reads commands from stdin interactively.
-/// `batch ... end` blocks are collected locally and sent as ONE frame so
-/// the server applies them as one group commit.
+/// The script runner is dynfo_cli's (wire::RunScript), so a script prints
+/// the same answers through either front end: with a script file, commands
+/// replay in order and the first non-zero code stops the run and becomes
+/// the exit code (0 ok, 1 error, 2 usage, 3 cancelled, 4 deadline,
+/// 5 resource, 6 corruption). Without one, commands come from stdin
+/// interactively. A `batch ... end` block travels as ONE frame, so the
+/// server applies it as one group commit.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/text.h"
 #include "dynfo/wire.h"
 
-namespace {
-
 namespace wire = dynfo::dyn::wire;
-
-/// Reads commands from `in`, folding batch blocks into single frames.
-/// Returns the process exit code.
-int Run(wire::Client* client, std::istream& in, bool interactive) {
-  std::string line;
-  if (interactive) std::printf("dynfo> ");
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::vector<std::string> words = wire::SplitWords(line);
-    if (words.empty()) {
-      if (interactive) std::printf("dynfo> ");
-      continue;
-    }
-    std::string request = line;
-    if (words[0] == "batch") {
-      // Collect the block locally; an unclosed block is a usage error
-      // before anything reaches the server.
-      std::string inner;
-      bool closed = false;
-      while (std::getline(in, inner)) {
-        request.push_back('\n');
-        request.append(inner);
-        const size_t inner_hash = inner.find('#');
-        if (inner_hash != std::string::npos) inner.erase(inner_hash);
-        std::vector<std::string> body = wire::SplitWords(inner);
-        if (!body.empty() && body[0] == "end") {
-          closed = true;
-          break;
-        }
-      }
-      if (!closed) {
-        std::printf("error: batch block not closed with 'end'\n");
-        if (!interactive) return 2;
-        if (interactive) std::printf("dynfo> ");
-        continue;
-      }
-    }
-    wire::Response response;
-    dynfo::core::Status status = client->Call(request, &response);
-    const bool quitting = words[0] == "quit" || words[0] == "exit";
-    if (status.ok()) {
-      std::printf("%s\n", response.body.c_str());
-    } else {
-      std::printf("error[%d]: %s\n", response.code,
-                  status.message().c_str());
-      if (!interactive) {
-        return response.code != 0 ? response.code
-                                  : wire::ExitCodeFor(status.code());
-      }
-    }
-    if (quitting) break;
-    if (interactive) std::printf("dynfo> ");
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string connect_spec = "unix:/tmp/dynfo.sock";
@@ -149,13 +89,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A failed call prints the server's answer, or why the transport failed.
+  const auto call = [&client](const std::string& frame) {
+    wire::Response response;
+    const dynfo::core::Status status = client.Call(frame, &response);
+    if (!status.ok()) {
+      if (response.code == 0) response.code = wire::ExitCodeFor(status.code());
+      response.body = status.message();
+    }
+    return response;
+  };
   if (positional.size() == 1) {
     std::ifstream script(positional[0]);
     if (!script) {
       std::fprintf(stderr, "error: cannot open %s\n", positional[0].c_str());
       return 2;
     }
-    return Run(&client, script, /*interactive=*/false);
+    return wire::RunScript(script, std::cout, /*interactive=*/false, 0, call);
   }
-  return Run(&client, std::cin, /*interactive=*/true);
+  return wire::RunScript(std::cin, std::cout, /*interactive=*/true, 0, call);
 }

@@ -2,6 +2,8 @@
 /// The Dyn-FO engine as a long-running service (DESIGN.md §15): one engine,
 /// many concurrent sessions over a Unix or TCP socket, speaking the
 /// dynfo_cli script grammar in length-prefixed frames (see dynfo/wire.h).
+/// Each frame runs through ServiceServer::Dispatch, the interpreter
+/// dynfo_cli runs in process, so both answer every command alike.
 ///
 /// Usage:
 ///   dynfo_server [--listen=ADDR] [--backend=MODE] [--deadline-ms=N]
@@ -37,9 +39,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <semaphore>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,49 +71,19 @@ bool ParseLoadFactor(const std::string& token, double* out) {
 
 int main(int argc, char** argv) {
   std::string listen_spec = "unix:/tmp/dynfo.sock";
-  dynfo::dyn::ServiceOptions options;
-  dynfo::dyn::EngineOptions& engine_options =
-      options.engine.engine_options;
-  engine_options.use_dense_relations = true;  // --backend=auto
-  options.engine.check_every = 0;  // no oracle hooks in the server
-  dynfo::dyn::ApplyGovernance& governance =
-      options.engine.governance.governance;
+  dynfo::dyn::ServiceOptions options = dynfo::dyn::ToolServiceOptions();
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string error;
     uint64_t parsed = 0;
-    if (arg.rfind("--listen=", 0) == 0) {
+    if (dynfo::dyn::ParseEngineFlag(arg, &options, &error)) {
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+      }
+    } else if (arg.rfind("--listen=", 0) == 0) {
       listen_spec = arg.substr(9);
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "auto") {
-        engine_options.use_dense_relations = true;
-        engine_options.force_dense_backend = false;
-      } else if (mode == "hash") {
-        engine_options.use_dense_relations = false;
-      } else if (mode == "dense") {
-        engine_options.use_dense_relations = true;
-        engine_options.force_dense_backend = true;
-      } else {
-        std::fprintf(stderr,
-                     "error: bad --backend value '%s' (want auto|hash|dense)\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      // deadline_ms is signed: larger values would wrap to "already expired".
-      if (!dynfo::core::ParseU64(arg.substr(14), &parsed) || parsed == 0 ||
-          parsed > INT64_MAX) {
-        std::fprintf(stderr, "error: bad --deadline-ms value\n");
-        return 2;
-      }
-      governance.deadline_ms = static_cast<int64_t>(parsed);
-    } else if (arg.rfind("--max-memory-mb=", 0) == 0) {
-      if (!dynfo::core::ParseU64(arg.substr(16), &parsed) || parsed == 0) {
-        std::fprintf(stderr, "error: bad --max-memory-mb value\n");
-        return 2;
-      }
-      governance.limits.max_bytes = parsed * 1024 * 1024;
     } else if (arg.rfind("--max-sessions=", 0) == 0) {
       if (!dynfo::core::ParseU64(arg.substr(15), &parsed) || parsed == 0) {
         std::fprintf(stderr, "error: bad --max-sessions value\n");
@@ -156,17 +126,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream spec(positional[0]);
-  if (!spec) {
-    std::fprintf(stderr, "error: cannot open %s\n", positional[0].c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << spec.rdbuf();
-  auto program = dynfo::dyn::LoadProgramFromText(buffer.str());
+  auto program = dynfo::dyn::LoadProgramFile(positional[0]);
   if (!program.ok()) {
-    std::fprintf(stderr, "error loading %s: %s\n", positional[0].c_str(),
-                 program.status().message().c_str());
+    std::fprintf(stderr, "error: %s\n", program.status().message().c_str());
     return 2;
   }
   uint64_t parsed_n = 0;
