@@ -34,10 +34,11 @@
 ///   * oracle_identical          — post-soak bit-identity (gate 1.0);
 ///   * admission_rejections / admission_timeouts — typed write refusals;
 ///   * reads_served_per_snapshot — read amortization per published version;
-///   * shed_tier0..2_rate        — read-tier distribution under load
-///                                 (ExecTier slots: compiled+indexed, the
-///                                 retired compiled tier — always 0 —, and
-///                                 naive);
+///   * read_tier0..2_rate        — read-tier distribution (ExecTier
+///                                 slots: compiled+indexed, the retired
+///                                 compiled tier — always 0 —, and naive);
+///                                 each read's formula decides its tier, so
+///                                 the soak's point probes all read naive;
 ///   * reconnects                — client-churn kill/re-dial cycles.
 ///
 /// BM_SnapshotViewO1 pins the tentpole's O(1) claim: the time to take a
@@ -115,8 +116,7 @@ dyn::ServiceOptions SoakOptions() {
   dyn::ServiceOptions options;
   options.engine.check_every = 0;
   options.engine.governance.governance = GenerousGovernance();
-  options.admission_queue_limit = 4;  // small bound: shedding must engage
-  options.shed_naive_at = 0.75;
+  options.admission_queue_limit = 4;  // small bound: rejections must engage
   options.record_applied_history = true;
   return options;
 }
@@ -483,7 +483,7 @@ void BM_ServiceSoak(benchmark::State& state) {
           ? static_cast<double>(stats.reads_served) / stats.snapshots_published
           : 0.0;
   for (int t = 0; t < dyn::kNumReadTiers; ++t) {
-    state.counters["shed_tier" + std::to_string(t) + "_rate"] =
+    state.counters["read_tier" + std::to_string(t) + "_rate"] =
         static_cast<double>(stats.reads_tier[t]) / reads;
   }
   state.counters["sessions"] = static_cast<double>(stats.sessions_opened);

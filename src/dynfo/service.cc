@@ -25,11 +25,10 @@ constexpr char kQuitResponse[] = "0 bye";
 
 }  // namespace
 
-ExecTier ChooseReadTier(size_t waiting, size_t queue_limit, double shed_naive_at) {
-  if (queue_limit == 0 || waiting == 0) return ExecTier::kCompiledIndexed;
-  const double load =
-      static_cast<double>(waiting) / static_cast<double>(queue_limit);
-  return load >= shed_naive_at ? ExecTier::kNaive : ExecTier::kCompiledIndexed;
+ExecTier ReadTierFor(const fo::Formula& formula) {
+  return formula.QuantifierDepth() == 0 && formula.FreeVariables().empty()
+             ? ExecTier::kNaive
+             : ExecTier::kCompiledIndexed;
 }
 
 ServiceOptions ToolServiceOptions() {
@@ -270,17 +269,13 @@ std::string EngineService::Snapshot() {
 }
 
 EngineService::ReadPin EngineService::PinVersion() {
-  const ExecTier tier =
-      ChooseReadTier(waiting_writers_.load(std::memory_order_relaxed),
-                     options_.admission_queue_limit, options_.shed_naive_at);
   std::shared_ptr<Version> version;
   {
     std::lock_guard<std::mutex> lock(versions_mutex_);
     version = versions_.back();
     version->pins.fetch_add(1, std::memory_order_acq_rel);
   }
-  reads_tier_[static_cast<int>(tier)].fetch_add(1, std::memory_order_relaxed);
-  return ReadPin(this, std::move(version), tier);
+  return ReadPin(this, std::move(version));
 }
 
 void EngineService::ReadPin::Release() {
@@ -293,41 +288,49 @@ void EngineService::ReadPin::Release() {
   }
 }
 
-bool EngineService::QueryBool(const ReadPin& pin,
-                              std::vector<Element> params) const {
+bool EngineService::QueryBool(const ReadPin& pin, std::vector<Element> params,
+                              const core::ExecGovernor* governor) const {
   const fo::FormulaPtr& query = pin.program().bool_query();
   DYNFO_CHECK(query != nullptr)
       << pin.program().name() << " has no boolean query";
-  return QuerySentence(pin, query, std::move(params));
+  return QuerySentence(pin, query, std::move(params), governor);
 }
 
 bool EngineService::QuerySentence(const ReadPin& pin,
                                   const fo::FormulaPtr& sentence,
-                                  std::vector<Element> params) const {
+                                  std::vector<Element> params,
+                                  const core::ExecGovernor* governor) const {
+  const ExecTier tier = ReadTierFor(*sentence);
   reads_served_.fetch_add(1, std::memory_order_relaxed);
+  reads_tier_[static_cast<int>(tier)].fetch_add(1, std::memory_order_relaxed);
   fo::EvalContext ctx(pin.data(), std::move(params));
-  if (pin.tier() == ExecTier::kNaive) {
+  ctx.governor = governor;
+  if (tier == ExecTier::kNaive) {
     return fo::NaiveEvaluator::HoldsSentence(sentence, ctx);
   }
   return read_algebra_.HoldsSentence(sentence, ctx);
 }
 
 core::Result<relational::Relation> EngineService::QueryRelation(
-    const ReadPin& pin, const std::string& name,
-    std::vector<Element> params) const {
+    const ReadPin& pin, const std::string& name, std::vector<Element> params,
+    const core::ExecGovernor* governor) const {
   const NamedQuery* query = pin.program().FindNamedQuery(name);
   if (query == nullptr) {
     return core::Status::Error(pin.program().name() + " has no query named " +
                                name);
   }
+  const ExecTier tier = ReadTierFor(*query->formula);
   reads_served_.fetch_add(1, std::memory_order_relaxed);
+  reads_tier_[static_cast<int>(tier)].fetch_add(1, std::memory_order_relaxed);
   fo::EvalContext ctx(pin.data(), std::move(params));
-  if (pin.tier() == ExecTier::kNaive) {
-    return fo::NaiveEvaluator::EvaluateAsRelation(
-        query->formula, query->tuple_variables, ctx);
-  }
-  return read_algebra_.EvaluateAsRelation(query->formula,
-                                          query->tuple_variables, ctx);
+  ctx.governor = governor;
+  const std::vector<std::string>& vars = query->tuple_variables;
+  relational::Relation answer =
+      tier == ExecTier::kNaive
+          ? fo::NaiveEvaluator::EvaluateAsRelation(query->formula, vars, ctx)
+          : read_algebra_.EvaluateAsRelation(query->formula, vars, ctx);
+  if (governor != nullptr && governor->stopped()) return governor->status();
+  return answer;
 }
 
 bool EngineService::ReadQueryBool(std::vector<Element> params) {
@@ -581,44 +584,45 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
         0, "ok applied=" + std::to_string(group.size()));
   }
 
-  if (command == "query") {
+  // Reads run under the session's deadline alone (see Dispatch's comment).
+  const core::Deadline read_deadline =
+      service_->SessionGovernance(session).deadline();
+  const core::ExecGovernor read_governor(read_deadline, nullptr, nullptr);
+  const core::ExecGovernor* governor =
+      read_deadline.is_infinite() ? nullptr : &read_governor;
+
+  // Boolean reads: the program's query (`query`) or a sentence (`eval`).
+  if (command == "query" || command == "eval") {
     std::vector<Element> params;
     std::string error;
-    if (!wire::ParseElements(words, 1, &params, &error)) {
+    if (command == "query" && !wire::ParseElements(words, 1, &params, &error)) {
       return EncodeResponse(2, error);
     }
     EngineService::ReadPin pin = service_->PinVersion();
-    if (!wire::CheckReadArguments(pin.program().bool_query(), params,
-                                  pin.data().universe_size(), &error)) {
+    fo::FormulaPtr sentence = pin.program().bool_query();
+    if (command == "eval") {
+      const std::string text = first_line.substr(first_line.find("eval") + 4);
+      fo::ParserEnvironment formulas(pin.program().data_vocabulary());
+      auto parsed = formulas.Parse(text);
+      if (!parsed.ok()) return EncodeResponse(2, parsed.status().message());
+      sentence = parsed.value();
+      if (!sentence->FreeVariables().empty()) {
+        return EncodeResponse(2, "eval needs a sentence (no free variables)");
+      }
+    }
+    if (!wire::CheckReadArguments(sentence, params, pin.data().universe_size(),
+                                  &error)) {
       return EncodeResponse(2, error);
     }
-    const bool answer = service_->QueryBool(pin, std::move(params));
-    return EncodeResponse(
-        0, std::string(answer ? "true" : "false") +
-               " v=" + std::to_string(pin.version()) +
-               " tier=" + ExecTierName(pin.tier()));
-  }
-
-  if (command == "eval") {
-    const size_t at = first_line.find("eval");
-    const std::string text = first_line.substr(at + 4);
-    EngineService::ReadPin pin = service_->PinVersion();
-    fo::ParserEnvironment formulas(pin.program().data_vocabulary());
-    auto parsed = formulas.Parse(text);
-    if (!parsed.ok()) return EncodeResponse(2, parsed.status().message());
-    if (!parsed.value()->FreeVariables().empty()) {
-      return EncodeResponse(2, "eval needs a sentence (no free variables)");
+    const bool answer =
+        service_->QuerySentence(pin, sentence, std::move(params), governor);
+    if (governor != nullptr && governor->stopped()) {
+      return EncodeResponse(ExitCodeFor(governor->code()),
+                            governor->status().message());
     }
-    std::string error;
-    if (!wire::CheckReadArguments(parsed.value(), {},
-                                  pin.data().universe_size(), &error)) {
-      return EncodeResponse(2, error);
-    }
-    const bool answer = service_->QuerySentence(pin, parsed.value());
-    return EncodeResponse(
-        0, std::string(answer ? "true" : "false") +
-               " v=" + std::to_string(pin.version()) +
-               " tier=" + ExecTierName(pin.tier()));
+    return EncodeResponse(0, std::string(answer ? "true" : "false") + " v=" +
+                                 std::to_string(pin.version()) + " tier=" +
+                                 ExecTierName(ReadTierFor(*sentence)));
   }
 
   if (command == "show") {
@@ -636,8 +640,11 @@ std::string ServiceServer::Dispatch(EngineService::SessionId session,
         return EncodeResponse(2, error);
       }
       core::Result<relational::Relation> result =
-          service_->QueryRelation(pin, words[1], std::move(params));
-      if (!result.ok()) return EncodeResponse(1, result.status().message());
+          service_->QueryRelation(pin, words[1], std::move(params), governor);
+      if (!result.ok()) {
+        return EncodeResponse(ExitCodeFor(result.status().code()),
+                              result.status().message());
+      }
       return EncodeResponse(0, body + result.value().ToString());
     }
     if (pin.program().data_vocabulary()->RelationIndex(words[1]) >= 0) {

@@ -21,10 +21,10 @@
 ///     writers — one past the bound is rejected immediately with
 ///     kResourceExhausted (wire code 5, the client's retry signal) — and a
 ///     waiting writer gives up at its session deadline with
-///     kDeadlineExceeded. Reads are never refused; under writer pressure
-///     they shed from the compiled+indexed read tier to the naive
-///     reference evaluator, which answers point probes without building
-///     the indexes each newly published version starts without.
+///     kDeadlineExceeded. Reads are never refused, and writer load never
+///     changes how they run: ReadTierFor picks each read's evaluator from
+///     its formula alone, and Dispatch runs reads under the session's
+///     deadline.
 ///
 /// ServiceServer::Dispatch is the one interpreter of the script grammar:
 /// dynfo_server runs it per connection, and dynfo_cli runs it in process
@@ -59,22 +59,18 @@ namespace dynfo::dyn {
 /// ServiceStats::reads_tier is the retired compiled tier's and reads 0.
 inline constexpr int kNumReadTiers = 3;
 
-/// Pure shed policy, unit-testable: the naive tier once `waiting` writers
-/// fill at least `shed_naive_at` of `queue_limit` admission slots,
-/// compiled+indexed otherwise. queue_limit == 0 disables shedding entirely.
-ExecTier ChooseReadTier(size_t waiting, size_t queue_limit, double shed_naive_at);
+/// The evaluator a service read runs, decided by its formula alone: a point
+/// probe (no quantifiers, no free variables) reads naive, by lookups that
+/// need no index; every other formula runs its compiled plan.
+ExecTier ReadTierFor(const fo::Formula& formula);
 
 struct ServiceOptions {
   GuardedEngineOptions engine;
   /// OpenSession beyond this count is rejected with kResourceExhausted.
   size_t max_sessions = 64;
   /// Writers allowed to WAIT for the writer lock; one more is rejected
-  /// immediately (kResourceExhausted) instead of queueing. 0 = unbounded
-  /// admission and no read shedding.
+  /// immediately (kResourceExhausted) instead of queueing. 0 = unbounded.
   size_t admission_queue_limit = 8;
-  /// Load factor (waiting / admission_queue_limit) at which reads shed to
-  /// the naive tier.
-  double shed_naive_at = 0.75;
   /// Record every applied request in commit order — the soak's oracle
   /// source: replaying history[0..v) through a fresh engine reproduces the
   /// exact state any reader pinned at version v. (The journal cannot serve
@@ -146,6 +142,9 @@ class EngineService {
   /// Replaces a live session's governance (wire `deadline` command).
   core::Status SetSessionGovernance(SessionId session,
                                     const ApplyGovernance& governance);
+  /// The governance `session`'s requests run under: its own when active,
+  /// the service-wide policy otherwise.
+  ApplyGovernance SessionGovernance(SessionId session);
 
   // -- Writes (serialized; admission-controlled) ---------------------------
 
@@ -186,20 +185,13 @@ class EngineService {
   class ReadPin {
    public:
     ReadPin(ReadPin&& other) noexcept
-        : service_(other.service_),
-          version_(std::move(other.version_)),
-          tier_(other.tier_) {
-      other.service_ = nullptr;
-      other.version_ = nullptr;
-    }
+        : service_(std::exchange(other.service_, nullptr)),
+          version_(std::move(other.version_)) {}
     ReadPin& operator=(ReadPin&& other) noexcept {
       if (this != &other) {
         Release();
-        service_ = other.service_;
+        service_ = std::exchange(other.service_, nullptr);
         version_ = std::move(other.version_);
-        tier_ = other.tier_;
-        other.service_ = nullptr;
-        other.version_ = nullptr;
       }
       return *this;
     }
@@ -211,36 +203,37 @@ class EngineService {
     uint64_t version() const { return version_->version; }
     uint64_t epoch() const { return version_->epoch; }
     const DynProgram& program() const { return *version_->program; }
-    /// The read tier admission pressure assigned at pin time.
-    ExecTier tier() const { return tier_; }
 
     void Release();
 
    private:
     friend class EngineService;
-    ReadPin(EngineService* service, std::shared_ptr<Version> version,
-            ExecTier tier)
-        : service_(service), version_(std::move(version)), tier_(tier) {}
+    ReadPin(EngineService* service, std::shared_ptr<Version> version)
+        : service_(service), version_(std::move(version)) {}
 
     EngineService* service_ = nullptr;
     std::shared_ptr<Version> version_;
-    ExecTier tier_ = ExecTier::kCompiledIndexed;
   };
 
   /// Pins the newest published version. Never fails, never blocks on the
-  /// writer lock; under load the pin carries a shed tier.
+  /// writer lock.
   ReadPin PinVersion();
 
-  /// Queries against a pinned version. Thread-safe across any number of
-  /// concurrent readers (and the writer): evaluation reads the pinned
-  /// structure only, through a shared thread-safe evaluator.
+  /// Queries against a pinned version, through the evaluator ReadTierFor
+  /// picks. Thread-safe across any number of concurrent readers (and the
+  /// writer): evaluation reads the pinned structure only, through a shared
+  /// thread-safe evaluator. After a `governor` trip a boolean answer means
+  /// nothing; QueryRelation returns the trip.
   bool QueryBool(const ReadPin& pin,
-                 std::vector<relational::Element> params = {}) const;
+                 std::vector<relational::Element> params = {},
+                 const core::ExecGovernor* governor = nullptr) const;
   bool QuerySentence(const ReadPin& pin, const fo::FormulaPtr& sentence,
-                     std::vector<relational::Element> params = {}) const;
+                     std::vector<relational::Element> params = {},
+                     const core::ExecGovernor* governor = nullptr) const;
   core::Result<relational::Relation> QueryRelation(
       const ReadPin& pin, const std::string& name,
-      std::vector<relational::Element> params = {}) const;
+      std::vector<relational::Element> params = {},
+      const core::ExecGovernor* governor = nullptr) const;
 
   /// Pin + QueryBool + release in one call.
   bool ReadQueryBool(std::vector<relational::Element> params = {});
@@ -275,7 +268,7 @@ class EngineService {
   }
 
   /// Test hook: holds the writer lock until destroyed, so tests can force
-  /// deterministic admission-queue pressure and shed tiers.
+  /// deterministic admission-queue pressure.
   class WriterGate {
    public:
     explicit WriterGate(EngineService* service) : service_(service) {
@@ -291,7 +284,7 @@ class EngineService {
   std::unique_ptr<WriterGate> PauseWritersForTest() {
     return std::make_unique<WriterGate>(this);
   }
-  /// Test hook: pretend `n` writers are waiting (drives ChooseReadTier).
+  /// Test hook: pretend `n` writers are waiting (admission only).
   void InjectWaitingWritersForTest(size_t n) {
     waiting_writers_.store(n, std::memory_order_relaxed);
   }
@@ -305,7 +298,6 @@ class EngineService {
   void FinishWrite(bool publish);
   void PublishLocked();
   void Reclaim();
-  ApplyGovernance SessionGovernance(SessionId session);
   /// Installs `governance` into the guarded engine's policy for this write
   /// (writer lock held).
   void SetWriteGovernanceLocked(const ApplyGovernance& governance);
@@ -407,6 +399,8 @@ class ServiceServer {
 
   /// One request line (or multi-line batch frame) through the grammar
   /// against `session`; returns the encoded "<code> <body>" response.
+  /// Reads run under the session's deadline (code 4) but no budget, whose
+  /// code 5 wire::Client would resubmit: a retried read is no cheaper.
   /// Every connection runs its frames through here, and so do the
   /// socketless callers: dynfo_cli, the tests and bench_e2e.
   std::string Dispatch(EngineService::SessionId session,

@@ -9,12 +9,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "core/check.h"
@@ -112,9 +112,14 @@ core::StatusCode StatusCodeForExit(int exit_code) {
 
 std::vector<std::string> SplitWords(const std::string& line) {
   std::vector<std::string> out;
-  std::stringstream ss(line);
-  std::string word;
-  while (ss >> word) out.push_back(word);
+  size_t start = 0;
+  for (size_t i = 0; i <= line.size(); ++i) {
+    // std::isspace in the classic locale: the blanks `>>` splits words on.
+    if (i == line.size() || std::isspace(static_cast<unsigned char>(line[i]))) {
+      if (i > start) out.emplace_back(line, start, i - start);
+      start = i + 1;
+    }
+  }
   return out;
 }
 

@@ -1,12 +1,21 @@
 #include "fo/formula.h"
 
 #include <algorithm>
+#include <climits>
 
 namespace dynfo::fo {
 
 // Factories build a node via the private constructor and fill its fields
 // before publishing the shared_ptr; no node is mutated after a factory
 // returns, so sharing subtrees is safe.
+
+Formula::Formula(FormulaKind kind, std::vector<FormulaPtr> children)
+    : kind_(kind), children_(std::move(children)) {
+  for (const FormulaPtr& child : children_) {
+    size_ = static_cast<int>(
+        std::min<int64_t>(int64_t{size_} + child->Size(), INT_MAX));
+  }
+}
 
 FormulaPtr Formula::True() {
   static const FormulaPtr kTrue = [] {
@@ -56,9 +65,7 @@ FormulaPtr Formula::Not(FormulaPtr operand) {
   DYNFO_CHECK(operand != nullptr);
   if (operand->kind() == FormulaKind::kTrue) return False();
   if (operand->kind() == FormulaKind::kFalse) return True();
-  auto f = std::shared_ptr<Formula>(new Formula(FormulaKind::kNot));
-  f->children_ = {std::move(operand)};
-  return f;
+  return FormulaPtr(new Formula(FormulaKind::kNot, {std::move(operand)}));
 }
 
 FormulaPtr Formula::And(std::vector<FormulaPtr> operands) {
@@ -75,9 +82,7 @@ FormulaPtr Formula::And(std::vector<FormulaPtr> operands) {
   }
   if (flat.empty()) return True();
   if (flat.size() == 1) return flat[0];
-  auto f = std::shared_ptr<Formula>(new Formula(FormulaKind::kAnd));
-  f->children_ = std::move(flat);
-  return f;
+  return FormulaPtr(new Formula(FormulaKind::kAnd, std::move(flat)));
 }
 
 FormulaPtr Formula::Or(std::vector<FormulaPtr> operands) {
@@ -94,9 +99,7 @@ FormulaPtr Formula::Or(std::vector<FormulaPtr> operands) {
   }
   if (flat.empty()) return False();
   if (flat.size() == 1) return flat[0];
-  auto f = std::shared_ptr<Formula>(new Formula(FormulaKind::kOr));
-  f->children_ = std::move(flat);
-  return f;
+  return FormulaPtr(new Formula(FormulaKind::kOr, std::move(flat)));
 }
 
 FormulaPtr Formula::Implies(FormulaPtr left, FormulaPtr right) {
@@ -110,18 +113,18 @@ FormulaPtr Formula::Iff(FormulaPtr left, FormulaPtr right) {
 FormulaPtr Formula::Exists(std::vector<std::string> variables, FormulaPtr body) {
   DYNFO_CHECK(body != nullptr);
   DYNFO_CHECK(!variables.empty()) << "quantifier with no variables";
-  auto f = std::shared_ptr<Formula>(new Formula(FormulaKind::kExists));
+  auto f = std::shared_ptr<Formula>(
+      new Formula(FormulaKind::kExists, {std::move(body)}));
   f->variables_ = std::move(variables);
-  f->children_ = {std::move(body)};
   return f;
 }
 
 FormulaPtr Formula::Forall(std::vector<std::string> variables, FormulaPtr body) {
   DYNFO_CHECK(body != nullptr);
   DYNFO_CHECK(!variables.empty()) << "quantifier with no variables";
-  auto f = std::shared_ptr<Formula>(new Formula(FormulaKind::kForall));
+  auto f = std::shared_ptr<Formula>(
+      new Formula(FormulaKind::kForall, {std::move(body)}));
   f->variables_ = std::move(variables);
-  f->children_ = {std::move(body)};
   return f;
 }
 
@@ -213,12 +216,6 @@ int Formula::VariableWidth() const {
   std::set<std::string> variables;
   CollectVariables(*this, &variables);
   return static_cast<int>(variables.size());
-}
-
-int Formula::Size() const {
-  int size = 1;
-  for (const FormulaPtr& child : children_) size += child->Size();
-  return size;
 }
 
 int Formula::MaxParameterIndex() const {

@@ -80,8 +80,9 @@ class Formula {
   /// the paper's proxy for *space* ("space corresponds to number of
   /// variables", §2). Shadowed reuses of a name count once.
   int VariableWidth() const;
-  /// Number of AST nodes.
-  int Size() const;
+  /// Nodes in the tree the evaluators walk, counting a subformula shared by
+  /// pointer once per use. Recorded at build time; saturates at INT_MAX.
+  int Size() const { return size_; }
   /// Largest parameter index used anywhere, or -1 if none.
   int MaxParameterIndex() const;
   /// Relation names mentioned anywhere in the formula.
@@ -95,7 +96,7 @@ class Formula {
   std::string ToString() const;
 
  private:
-  explicit Formula(FormulaKind kind) : kind_(kind) {}
+  explicit Formula(FormulaKind kind, std::vector<FormulaPtr> children = {});
 
   void CollectFreeVariables(std::set<std::string>* out,
                             std::set<std::string>* bound) const;
@@ -106,6 +107,7 @@ class Formula {
   std::vector<Term> terms_;  // atom args, or {left, right} for =, <=, BIT
   std::vector<FormulaPtr> children_;
   std::vector<std::string> variables_;
+  int size_ = 1;  ///< see Size()
 };
 
 }  // namespace dynfo::fo

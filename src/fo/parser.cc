@@ -139,6 +139,7 @@ class ParserImpl {
     if (Peek().kind != TokenKind::kEnd) {
       return Error("unexpected '" + Peek().text + "'");
     }
+    if (f.value()->Size() > kMaxFormulaNodes) return TooLarge();
     return f;
   }
 
@@ -153,6 +154,11 @@ class ParserImpl {
   core::Status Error(const std::string& message) const {
     return core::Status::Error(message + " at offset " +
                                std::to_string(Peek().offset));
+  }
+
+  core::Status TooLarge() const {
+    return Error("formula expands to more than " +
+                 std::to_string(kMaxFormulaNodes) + " nodes");
   }
 
   /// Runs `parse` one nesting level deeper; past kMaxFormulaNesting open
@@ -177,6 +183,7 @@ class ParserImpl {
       core::Result<FormulaPtr> right = ParseImplies();
       if (!right.ok()) return right;
       acc = Formula::Iff(acc, right.value());
+      if (acc->Size() > kMaxFormulaNodes) return TooLarge();
     }
     return acc;
   }
@@ -295,6 +302,9 @@ class ParserImpl {
         return Error("macro " + name + " takes " +
                      std::to_string(macro->second.parameters.size()) + " arguments");
       }
+      // Each call copies the body: count copies before they fill memory.
+      macro_nodes_ += macro->second.body->Size();
+      if (macro_nodes_ > kMaxFormulaNodes) return TooLarge();
       std::map<std::string, Term> substitution;
       for (size_t i = 0; i < args.size(); ++i) {
         substitution.emplace(macro->second.parameters[i], args[i]);
@@ -366,6 +376,7 @@ class ParserImpl {
   std::vector<Token> tokens_;
   size_t position_ = 0;
   int depth_ = 0;  ///< nesting levels open (see Nested)
+  int64_t macro_nodes_ = 0;  ///< nodes copied by macro calls so far
 };
 
 core::Status ParserEnvironment::DefineMacro(const std::string& name,

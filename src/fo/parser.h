@@ -23,7 +23,8 @@
 /// Nesting is bounded: at most kMaxFormulaNesting of '(', '!', quantifier
 /// bodies and '->' may be open at once. Deeper input is a parse error, so
 /// hostile text (a wire `eval` frame, a spec) cannot overflow the stack of
-/// the recursive-descent parser.
+/// the recursive-descent parser; so is a formula expanding past
+/// kMaxFormulaNodes nodes, before anything walks it.
 
 #ifndef DYNFO_FO_PARSER_H_
 #define DYNFO_FO_PARSER_H_
@@ -42,6 +43,12 @@ namespace dynfo::fo {
 /// Far above any formula in specs/, far below the few thousand levels that
 /// overflow an 8 MiB stack.
 inline constexpr int kMaxFormulaNesting = 256;
+
+/// The most nodes a parsed formula may expand to (Formula::Size()): `<->`
+/// uses each side twice and a macro call copies its body, so k chained
+/// `<->`s, or k macros each calling the last twice, expand to about 2^k.
+/// Checked after each `<->` and macro call and at each formula's end.
+inline constexpr int kMaxFormulaNodes = 65536;
 
 /// Shared parsing context: which names are constants, which are relations
 /// (with arities), and the macro table.

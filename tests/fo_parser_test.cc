@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "fo/builder.h"
 #include "fo/eval_naive.h"
 #include "fo/parser.h"
@@ -106,6 +108,67 @@ TEST(ParserTest, NestingAtTheLimitParsesAndEvaluates) {
     EXPECT_TRUE(NaiveEvaluator::HoldsSentence(parsed.value(), ctx))
         << text.substr(0, 40);
   }
+}
+
+/// `copies` copies of E(s, t) joined by `<->`.
+std::string IffChain(int copies) {
+  std::string chain = "E(s, t)";
+  for (int i = 1; i < copies; ++i) chain += " <-> E(s, t)";
+  return chain;
+}
+
+TEST(ParserTest, LongIffChainIsRefusedQuickly) {
+  const auto start = std::chrono::steady_clock::now();
+  auto parsed = ParseFormula(IffChain(2000), GraphVocabulary());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find(
+                "expands to more than " + std::to_string(kMaxFormulaNodes)),
+            std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(ParserTest, IffChainAtTheBoundParsesAndEvaluates) {
+  auto vocab = GraphVocabulary();
+  // k copies expand to 8 * 2^(k-1) - 7 nodes: 65529 for 14, 131065 for 15.
+  auto parsed = ParseFormula(IffChain(14), vocab);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed.value()->Size(), 8 * (1 << 13) - 7);
+  EXPECT_FALSE(ParseFormula(IffChain(15), vocab).ok());
+  // Every link compares equal values, so the chain holds whether or not
+  // E(s, t) does.
+  Structure structure(vocab, 4);
+  EvalContext ctx(structure, {});
+  EXPECT_TRUE(NaiveEvaluator::HoldsSentence(parsed.value(), ctx));
+  structure.relation("E").Insert({0, 0});
+  EXPECT_TRUE(NaiveEvaluator::HoldsSentence(parsed.value(), ctx));
+}
+
+TEST(ParserTest, DoublingMacrosAreRefusedQuickly) {
+  ParserEnvironment env(GraphVocabulary());
+  ASSERT_TRUE(env.DefineMacro("M0", {"x"}, "E(x, x)").ok());
+  const auto start = std::chrono::steady_clock::now();
+  core::Status refused;
+  int level = 1;
+  for (; level <= 40; ++level) {
+    const std::string call = "M" + std::to_string(level - 1) + "(x)";
+    refused = env.DefineMacro("M" + std::to_string(level), {"x"},
+                              call + " & " + call);
+    if (!refused.ok()) break;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  // And flattens, so M_k is one And over 2^k atoms, 2^k + 1 nodes: M15
+  // (32769) is the last that fits, and M16's two calls copy 65538.
+  EXPECT_EQ(level, 16);
+  EXPECT_NE(refused.message().find(
+                "expands to more than " + std::to_string(kMaxFormulaNodes)),
+            std::string::npos)
+      << refused.message();
+  // Calls of a smaller macro add up: three copies of M14 (16385 nodes
+  // each) fit, four do not.
+  const std::string calls = "M14(x) | M14(x) | M14(x)";
+  EXPECT_TRUE(env.Parse(calls).ok());
+  EXPECT_FALSE(env.Parse(calls + " | M14(x)").ok());
 }
 
 TEST(ParserTest, MacrosExpandWithSubstitution) {

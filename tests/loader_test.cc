@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "dynfo/loader.h"
 #include "dynfo/verifier.h"
 #include "dynfo/workload.h"
+#include "fo/parser.h"
 #include "programs/reach_acyclic.h"
 #include "programs/reach_semidynamic.h"
 
@@ -110,6 +114,28 @@ semidynamic
   engine.Apply(Request::Insert("E", {1, 2}));
   EXPECT_TRUE(engine.QueryBool());
   EXPECT_DEATH(engine.Apply(Request::Delete("E", {0, 1})), "semi-dynamic");
+}
+
+TEST(LoaderTest, DoublingMacroSpecIsRefused) {
+  // Each macro calls the last one twice: M40 would be an And over 2^40
+  // atoms. The loader stops at the first macro past fo::kMaxFormulaNodes.
+  std::string spec =
+      "program doubling\ninput {\n  relation E/2\n}\n"
+      "data {\n  relation E/2\n}\nmacro M0(x) := E(x, x)\n";
+  for (int level = 1; level <= 40; ++level) {
+    const std::string call = "M" + std::to_string(level - 1) + "(x)";
+    spec += "macro M" + std::to_string(level) + "(x) := " + call + " & " +
+            call + "\n";
+  }
+  spec += "query := exists x. M40(x)\n";
+  const auto start = std::chrono::steady_clock::now();
+  auto loaded = LoadProgramFromText(spec);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find(
+                "expands to more than " + std::to_string(fo::kMaxFormulaNodes)),
+            std::string::npos)
+      << loaded.status().message();
 }
 
 TEST(LoaderTest, Diagnostics) {

@@ -1,9 +1,9 @@
 /// \file server_flags_test.cc
 /// dynfo_server's flag parsing, pinned at the binary level: a malformed
-/// load factor for --shed-naive-at — not a number, trailing junk,
-/// non-finite, or outside [0, 1] — exits with the documented usage code 2
-/// and names the flag, instead of aborting on an uncaught exception; so
-/// does a flag the server does not know. Drives the real dynfo_server
+/// count for --max-sessions or --admission-limit — not a number, trailing
+/// junk, signed, or out of range — exits with the documented usage code 2
+/// and names the flag; so does a flag the server does not know, including
+/// the retired read-shedding flags. Drives the real dynfo_server
 /// executable (DYNFO_SERVER_PATH); every case exits during argument
 /// parsing, before any socket is bound.
 
@@ -39,35 +39,41 @@ RunResult RunServer(const std::string& args) {
   return result;
 }
 
-TEST(ServerFlagsTest, MalformedShedFactorsExitWithUsageCode) {
-  const std::string flag = "--shed-naive-at";
-  for (const std::string value :
-       {"abc", "", "0.5x", "nan", "inf", "-0.1", "1.5", "1e9"}) {
-    const RunResult run = RunServer(flag + "=" + value + " " + kParitySpec + " 8");
-    EXPECT_EQ(run.exit_code, 2) << flag << "=" << value << ": " << run.output;
-    EXPECT_NE(run.output.find("bad " + flag + " value"), std::string::npos)
-        << flag << "=" << value << ": " << run.output;
+TEST(ServerFlagsTest, MalformedCountsExitWithUsageCode) {
+  for (const std::string flag : {"--max-sessions", "--admission-limit"}) {
+    for (const std::string value :
+         {"abc", "", "8x", "-1", "+8", "0x10", "18446744073709551616"}) {
+      const RunResult run =
+          RunServer(flag + "=" + value + " " + kParitySpec + " 8");
+      EXPECT_EQ(run.exit_code, 2) << flag << "=" << value << ": " << run.output;
+      EXPECT_NE(run.output.find("bad " + flag + " value"), std::string::npos)
+          << flag << "=" << value << ": " << run.output;
+    }
   }
+  // A session limit of 0 would refuse every connection.
+  const RunResult run = RunServer(std::string("--max-sessions=0 ") + kParitySpec + " 8");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("bad --max-sessions value"), std::string::npos)
+      << run.output;
 }
 
-TEST(ServerFlagsTest, WellFormedShedFactorsParse) {
-  // Valid factors pass argument parsing; the missing spec file is what
-  // stops the run (usage code 2 with its own message), so no socket opens.
-  for (const std::string value : {"0", "0.25", "1", "1.0"}) {
-    const RunResult run =
-        RunServer("--shed-naive-at=" + value + " /nonexistent.dynfo 8");
-    EXPECT_EQ(run.exit_code, 2) << value << ": " << run.output;
-    EXPECT_EQ(run.output.find("bad --shed"), std::string::npos)
-        << value << ": " << run.output;
-    EXPECT_NE(run.output.find("cannot open"), std::string::npos)
-        << value << ": " << run.output;
-  }
-}
-
-TEST(ServerFlagsTest, UsageLineListsShedFlags) {
+TEST(ServerFlagsTest, UsageLineOmitsRetiredShedFlag) {
   const RunResult run = RunServer("");
   EXPECT_EQ(run.exit_code, 2) << run.output;
-  EXPECT_NE(run.output.find("--shed-naive-at=F"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("usage:"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("--admission-limit=N"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("--shed"), std::string::npos) << run.output;
+}
+
+TEST(ServerFlagsTest, RetiredShedFlagIsUnknown) {
+  // Reads are no longer shed by writer load: each read's formula picks its
+  // evaluator. (The missing spec keeps a server that accepted the flag from
+  // binding a socket.)
+  const RunResult run = RunServer("--shed-naive-at=0.5 /nonexistent.dynfo 8");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown flag --shed-naive-at=0.5"), std::string::npos)
+      << run.output;
 }
 
 TEST(ServerFlagsTest, RetiredCompiledShedFlagIsUnknown) {

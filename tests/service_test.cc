@@ -1,23 +1,28 @@
 /// \file service_test.cc
 /// EngineService + wire protocol: snapshot-isolated reads over CoW
-/// versions, epoch-based reclamation, admission control, read-tier
-/// shedding, the framed wire grammar, and the retrying client
-/// (DESIGN.md §15).
+/// versions, epoch-based reclamation, admission control, read tiers decided
+/// per formula, reads under the session deadline, the framed wire grammar,
+/// and the retrying client (DESIGN.md §15).
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/durable_io.h"
+#include "core/rng.h"
 #include "dynfo/loader.h"
 #include "dynfo/service.h"
 #include "dynfo/wire.h"
+#include "fo/eval_naive.h"
+#include "fo/parser.h"
 #include "programs/parity.h"
+#include "programs/reach_acyclic.h"
 #include "programs/reach_u.h"
 #include "relational/request.h"
 
@@ -28,7 +33,6 @@ namespace dynfo {
 namespace {
 
 namespace wire = dyn::wire;
-using dyn::ChooseReadTier;
 using dyn::EngineService;
 using dyn::ExecTier;
 using relational::Request;
@@ -45,24 +49,44 @@ EngineService::SessionId MustOpen(EngineService* service) {
   return session.value();
 }
 
-// -- Shed policy -------------------------------------------------------------
-
-TEST(ChooseReadTierTest, ShedsByLoadFactor) {
-  // limit 8, shed to naive at 0.75.
-  EXPECT_EQ(ChooseReadTier(0, 8, 0.75), ExecTier::kCompiledIndexed);
-  EXPECT_EQ(ChooseReadTier(3, 8, 0.75), ExecTier::kCompiledIndexed);
-  EXPECT_EQ(ChooseReadTier(5, 8, 0.75), ExecTier::kCompiledIndexed);
-  EXPECT_EQ(ChooseReadTier(6, 8, 0.75), ExecTier::kNaive);
-  EXPECT_EQ(ChooseReadTier(8, 8, 0.75), ExecTier::kNaive);
-  EXPECT_EQ(ChooseReadTier(100, 8, 0.75), ExecTier::kNaive);
+/// A formula over reach_acyclic's data vocabulary (E, P; constants s, t).
+fo::FormulaPtr ParseReachAcyclic(const std::string& text) {
+  core::Result<fo::FormulaPtr> parsed = fo::ParseFormula(
+      text, programs::MakeReachAcyclicProgram()->data_vocabulary());
+  EXPECT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+  return parsed.ok() ? parsed.value() : fo::Formula::False();
 }
 
-TEST(ChooseReadTierTest, ZeroLimitDisablesShedding) {
-  EXPECT_EQ(ChooseReadTier(1000, 0, 0.75), ExecTier::kCompiledIndexed);
+// -- Read tiers --------------------------------------------------------------
+
+TEST(ReadTierForTest, QuantifierFreeSentenceReadsNaive) {
+  // Constants, numbers and request parameters are all ground.
+  for (const char* text : {"P(s, t)", "P(0, 3) & !E($0, $1)",
+                           "s = t | (P($0, s) -> $1 <= 2)"}) {
+    EXPECT_EQ(dyn::ReadTierFor(*ParseReachAcyclic(text)), ExecTier::kNaive)
+        << text;
+  }
 }
 
-TEST(ChooseReadTierTest, ZeroWaitingNeverSheds) {
-  EXPECT_EQ(ChooseReadTier(0, 1, 0.0), ExecTier::kCompiledIndexed);
+TEST(ReadTierForTest, TrueReadsNaive) {
+  EXPECT_EQ(dyn::ReadTierFor(*fo::Formula::True()), ExecTier::kNaive);
+}
+
+TEST(ReadTierForTest, QuantifiedSentenceRunsItsPlan) {
+  for (const char* text : {"exists u v w. (P(u, v) & P(v, w) & !P(u, w))",
+                           "P(s, t) | forall x. P(x, x)"}) {
+    EXPECT_EQ(dyn::ReadTierFor(*ParseReachAcyclic(text)),
+              ExecTier::kCompiledIndexed)
+        << text;
+  }
+}
+
+TEST(ReadTierForTest, FreeVariablesRunTheirPlan) {
+  for (const char* text : {"P(x, y)", "P(s, x) & E(x, t)"}) {
+    EXPECT_EQ(dyn::ReadTierFor(*ParseReachAcyclic(text)),
+              ExecTier::kCompiledIndexed)
+        << text;
+  }
 }
 
 // -- Snapshot isolation ------------------------------------------------------
@@ -180,35 +204,6 @@ TEST(EngineServiceTest, WaitingWriterGivesUpAtItsDeadline) {
   EXPECT_EQ(service.stats().admission_timeouts, 1u);
   // The lock is free again: the write now succeeds.
   EXPECT_TRUE(service.Apply(session.value(), Request::Insert("M", {0})).ok());
-}
-
-TEST(EngineServiceTest, ReadsShedTiersUnderWriterPressure) {
-  dyn::ServiceOptions options = TestOptions();
-  options.admission_queue_limit = 4;
-  options.shed_naive_at = 0.75;
-  EngineService service(programs::MakeParityProgram(), 8, options);
-
-  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiledIndexed);
-  service.InjectWaitingWritersForTest(2);
-  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiledIndexed);
-  service.InjectWaitingWritersForTest(3);
-  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kNaive);
-  service.InjectWaitingWritersForTest(0);
-  EXPECT_EQ(service.PinVersion().tier(), ExecTier::kCompiledIndexed);
-
-  // Reads are never refused, whatever the tier; results agree across tiers.
-  const EngineService::SessionId session = MustOpen(&service);
-  ASSERT_TRUE(service.Apply(session, Request::Insert("M", {5})).ok());
-  service.InjectWaitingWritersForTest(4);
-  EngineService::ReadPin naive = service.PinVersion();
-  EXPECT_EQ(naive.tier(), ExecTier::kNaive);
-  EXPECT_TRUE(service.QueryBool(naive));
-  service.InjectWaitingWritersForTest(0);
-  EXPECT_TRUE(service.ReadQueryBool());
-
-  const dyn::ServiceStats stats = service.stats();
-  EXPECT_GT(stats.reads_tier[static_cast<int>(ExecTier::kNaive)], 0u);
-  EXPECT_EQ(stats.reads_tier[1], 0u);  // the retired compiled tier's slot
 }
 
 TEST(EngineServiceTest, EnforcesTheSessionLimit) {
@@ -358,6 +353,31 @@ TEST(WireTest, ParsesAddresses) {
   EXPECT_FALSE(wire::ParseAddress("quic:1234", &address, &error));
   EXPECT_FALSE(wire::ParseAddress("tcp:notaport", &address, &error));
   EXPECT_FALSE(wire::ParseAddress("unix:", &address, &error));
+}
+
+TEST(WireTest, SplitWordsMatchesStreamExtraction) {
+  const auto reference = [](const std::string& line) {
+    std::vector<std::string> words;
+    std::istringstream in(line);
+    std::string word;
+    while (in >> word) words.push_back(word);
+    return words;
+  };
+  const std::string lines[] = {
+      "",
+      "   ",
+      "ins E 0 1",
+      "  ins   E  0 1  ",
+      "\tquery\t1\r",
+      "a\vb\fc\nd \r\n",
+      "\xc3\xa9t\xa0\x85 \xff \x80x",  // bytes >= 0x80 are never blank
+      std::string("a\0b c", 5),           // nor is NUL
+  };
+  for (const std::string& line : lines) {
+    EXPECT_EQ(wire::SplitWords(line), reference(line)) << "'" << line << "'";
+  }
+  EXPECT_EQ(wire::SplitWords("  ins   E  0 1  "),
+            (std::vector<std::string>{"ins", "E", "0", "1"}));
 }
 
 TEST(WireTest, ResponseRoundTrip) {
@@ -668,6 +688,130 @@ TEST(ServiceDispatchTest, DeeplyNestedEvalIsAUsageErrorAndTheServerLives) {
   const std::string response = server.Dispatch(session, frame);
   EXPECT_EQ(response.rfind("2 ", 0), 0u) << response.substr(0, 80);
   EXPECT_EQ(server.Dispatch(session, "ping"), wire::EncodeResponse(0, "pong"));
+}
+
+TEST(ServiceDispatchTest, LongIffChainEvalIsAUsageErrorAndTheServerLives) {
+  EngineService service(programs::MakeParityProgram(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const EngineService::SessionId session = MustOpen(&service);
+  // 2000 copies would expand to about 2^2002 nodes; the parser refuses the
+  // chain once it passes fo::kMaxFormulaNodes, before anything walks it.
+  std::string frame = "eval M(0)";
+  for (int i = 1; i < 2000; ++i) frame += " <-> M(0)";
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = server.Dispatch(session, frame);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(response.rfind("2 ", 0), 0u) << response;
+  EXPECT_NE(response.find(std::to_string(fo::kMaxFormulaNodes)),
+            std::string::npos)
+      << response;
+  EXPECT_EQ(server.Dispatch(session, "ping"), wire::EncodeResponse(0, "pong"));
+}
+
+/// No vertex reaches a second one without reaching what that one reaches:
+/// false on every reach_acyclic state, and a three-variable read that costs
+/// the naive evaluator n^3 probes.
+constexpr char kTransitivityGap[] =
+    "exists u v w. (P(u, v) & P(v, w) & !P(u, w))";
+
+/// Inserts `n` random edges a -> b with a < b (a DAG) into reach_acyclic.
+void InsertRandomDag(EngineService* service, size_t n, uint64_t seed) {
+  const EngineService::SessionId session = MustOpen(service);
+  core::Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const auto a = static_cast<relational::Element>(rng.Below(n));
+    const auto b = static_cast<relational::Element>(rng.Below(n));
+    if (a == b) continue;
+    ASSERT_TRUE(service
+                    ->Apply(session, Request::Insert(
+                                         "E", {std::min(a, b), std::max(a, b)}))
+                    .ok());
+  }
+  service->CloseSession(session);
+}
+
+/// The value of `name=<n>` in a `stats` answer.
+uint64_t StatsField(const std::string& stats, const std::string& name) {
+  const size_t at = stats.find(" " + name + "=");
+  EXPECT_NE(at, std::string::npos) << name << " in " << stats;
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats.substr(at + name.size() + 2));
+}
+
+TEST(ServiceDispatchTest, FullAdmissionQueueStillRunsCompiledPlans) {
+  constexpr size_t kN = 32;
+  const dyn::ServiceOptions options = TestOptions();
+  EngineService service(programs::MakeReachAcyclicProgram(), kN, options);
+  dyn::ServiceServer server(&service, wire::Address{});
+  InsertRandomDag(&service, kN, /*seed=*/7);
+  const EngineService::SessionId session = MustOpen(&service);
+
+  EngineService::ReadPin pin = service.PinVersion();
+  const bool expected = fo::NaiveEvaluator::HoldsSentence(
+      ParseReachAcyclic(kTransitivityGap), fo::EvalContext(pin.data()));
+  // Every admission slot taken: writers would be refused, reads still run
+  // the plan their formula calls for.
+  service.InjectWaitingWritersForTest(options.admission_queue_limit);
+  EXPECT_EQ(server.Dispatch(session, std::string("eval ") + kTransitivityGap),
+            wire::EncodeResponse(0, std::string(expected ? "true" : "false") +
+                                        " v=" + std::to_string(pin.version()) +
+                                        " tier=compiled+indexed"));
+  EXPECT_EQ(server.Dispatch(session, "ins E 0 1").rfind("5 ", 0), 0u);
+}
+
+TEST(ServiceDispatchTest, PointProbesReadNaiveAndEveryReadCountsOnce) {
+  EngineService service(programs::MakeReachAcyclicProgram(), 8, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  const EngineService::SessionId session = MustOpen(&service);
+  for (const char* write : {"ins E 0 1", "ins E 1 2", "set t 2"}) {
+    ASSERT_EQ(server.Dispatch(session, write), wire::EncodeResponse(0, "ok"));
+  }
+  // No writer waits; the formula alone picks the evaluator.
+  EXPECT_EQ(server.Dispatch(session, "query"),
+            wire::EncodeResponse(0, "true v=3 tier=naive"));
+  EXPECT_EQ(server.Dispatch(session, "eval P(0, 2)"),
+            wire::EncodeResponse(0, "true v=3 tier=naive"));
+  EXPECT_EQ(server.Dispatch(session, "eval P(2, 0)"),
+            wire::EncodeResponse(0, "false v=3 tier=naive"));
+  EXPECT_EQ(server.Dispatch(session, "eval exists u. (P(0, u) & P(u, 2))"),
+            wire::EncodeResponse(0, "true v=3 tier=compiled+indexed"));
+  const std::string path = server.Dispatch(session, "show path");  // free x, y
+  EXPECT_EQ(path.rfind("0 v=3\n", 0), 0u) << path;
+  EXPECT_NE(path.find("(0, 2)"), std::string::npos) << path;
+
+  const std::string stats = server.Dispatch(session, "stats");
+  EXPECT_EQ(StatsField(stats, "reads_served"), 5u) << stats;
+  EXPECT_EQ(StatsField(stats, "reads_tier0"), 2u) << stats;
+  EXPECT_EQ(StatsField(stats, "reads_tier1"), 0u) << stats;
+  EXPECT_EQ(StatsField(stats, "reads_tier2"), 3u) << stats;
+}
+
+TEST(ServiceDispatchTest, ReadsRunUnderTheSessionDeadline) {
+  constexpr size_t kN = 32;
+  EngineService service(programs::MakeReachAcyclicProgram(), kN, TestOptions());
+  dyn::ServiceServer server(&service, wire::Address{});
+  InsertRandomDag(&service, kN, /*seed=*/7);
+  dyn::ApplyGovernance governance;
+  governance.deadline_ms = -1;  // documented as "already expired", for tests
+  core::Result<EngineService::SessionId> expired =
+      service.OpenSession(governance);
+  ASSERT_TRUE(expired.ok());
+  const std::string eval = std::string("eval ") + kTransitivityGap;
+
+  const std::string tripped = server.Dispatch(expired.value(), eval);
+  EXPECT_EQ(tripped.rfind("4 deadline exceeded", 0), 0u) << tripped;
+  const std::string shown = server.Dispatch(expired.value(), "show path");
+  EXPECT_EQ(shown.rfind("4 deadline exceeded", 0), 0u) << shown;
+  // Neither tripped read kept its pin: a later write retires their version.
+  const EngineService::SessionId writer = MustOpen(&service);
+  ASSERT_EQ(server.Dispatch(writer, "ins E 0 1"), wire::EncodeResponse(0, "ok"));
+  EXPECT_EQ(service.retained_versions(), 1u);
+  // A point probe has no loop to poll, and its size is bounded at parse
+  // time: it still answers.
+  const std::string probe = server.Dispatch(expired.value(), "query");
+  EXPECT_EQ(probe.rfind("0 true", 0), 0u) << probe;
+  // A session without a deadline answers the same read.
+  EXPECT_EQ(server.Dispatch(writer, eval).rfind("0 false", 0), 0u);
 }
 
 TEST(ServiceDispatchTest, QueryWithoutABooleanQueryIsAUsageError) {

@@ -275,7 +275,7 @@ def derive_service(rows):
     From the largest BM_ServiceSoak run: the survival gates (crashes,
     read linearizability against the applied history, bit-identical oracle
     state), the admission-control counters, read amortization
-    (reads_served_per_snapshot), and the shed-tier distribution by
+    (reads_served_per_snapshot), and the read-tier distribution by
     ExecTier slot (slot 1, the retired compiled tier, reads 0). From
     BM_SnapshotViewO1: the worst copy-on-write-view vs deep-snapshot cost
     quotient across benched universe sizes — the O(1) publish claim as a
@@ -301,9 +301,9 @@ def derive_service(rows):
                   "sessions", "reconnects", "faults_injected",
                   "deadline_trips")
                  if k in counters}
-        tiers = [counters.get(f"shed_tier{i}_rate") for i in range(3)]
+        tiers = [counters.get(f"read_tier{i}_rate") for i in range(3)]
         if all(t is not None for t in tiers):
-            entry["shed_tier_rates"] = [round(t, 6) for t in tiers]
+            entry["read_tier_rates"] = [round(t, 6) for t in tiers]
         if entry:
             entry["at"] = soak["name"]
             service["soak"] = entry

@@ -32,9 +32,9 @@
 ///   --checkpoint-interval=N
 ///                      records per segment (= checkpoint interval and the
 ///                      recovery replay bound) for --durable-dir; default 64
-///   --deadline-ms=N    per-request wall-clock budget; a request that blows
-///                      it is abandoned at the next governor poll with the
-///                      engine left untouched
+///   --deadline-ms=N    per-request wall-clock budget, reads included; a
+///                      request that blows it is abandoned at the next
+///                      governor poll with the engine left untouched
 ///   --max-memory-mb=N  per-request budget for materialized intermediates.
 ///                      With either budget, a request that fails as
 ///                      configured descends the degradation ladder (naive,

@@ -8,35 +8,30 @@
 /// Usage:
 ///   dynfo_server [--listen=ADDR] [--backend=MODE] [--deadline-ms=N]
 ///                [--max-memory-mb=N] [--max-sessions=N]
-///                [--admission-limit=N] [--shed-naive-at=F]
-///                <program.dynfo> <universe-size>
+///                [--admission-limit=N] <program.dynfo> <universe-size>
 ///
 /// Flags:
 ///   --listen=ADDR        unix:/path/to.sock (default unix:/tmp/dynfo.sock)
 ///                        or tcp:[host:]port (tcp:0 = kernel-assigned; the
 ///                        bound port is printed on startup)
 ///   --backend=MODE       auto|hash|dense, as in dynfo_cli
-///   --deadline-ms=N      default per-write deadline (sessions may lower or
-///                        clear their own with the `deadline` command). The
-///                        deadline also bounds the wait in the admission
-///                        queue.
+///   --deadline-ms=N      default per-request deadline for writes and reads
+///                        (sessions may lower or clear their own with the
+///                        `deadline` command). The deadline also bounds the
+///                        wait in the admission queue.
 ///   --max-memory-mb=N    default per-write materialization budget
 ///   --max-sessions=N     sessions beyond this are rejected (wire code 5)
 ///   --admission-limit=N  writers allowed to wait for the writer lock; one
 ///                        more is rejected with wire code 5 (the client's
 ///                        retry-with-backoff signal). 0 = unbounded.
-///   --shed-naive-at=F    load factor (waiting/limit) in [0, 1] at which
-///                        reads shed from compiled+indexed to naive
 ///
 /// A malformed flag value exits with the usage code 2.
 ///
 /// Writers serialize through the guarded engine; readers run against
-/// copy-on-write snapshots and are never refused — under writer pressure
-/// they shed to the naive read tier instead. The server runs until
-/// SIGINT/SIGTERM.
+/// copy-on-write snapshots and are never refused, each through the
+/// evaluator its formula calls for (EngineService's ReadTierFor), whatever
+/// the writer load. The server runs until SIGINT/SIGTERM.
 
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <semaphore>
@@ -53,19 +48,6 @@ namespace {
 std::binary_semaphore g_shutdown(0);
 
 void HandleSignal(int) { g_shutdown.release(); }
-
-/// Parses a whole token as a finite load factor in [0, 1].
-bool ParseLoadFactor(const std::string& token, double* out) {
-  double value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (token.empty() || ec != std::errc() || ptr != end || !std::isfinite(value) ||
-      value < 0 || value > 1) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 }  // namespace
 
@@ -96,11 +78,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.admission_queue_limit = static_cast<size_t>(parsed);
-    } else if (arg.rfind("--shed-naive-at=", 0) == 0) {
-      if (!ParseLoadFactor(arg.substr(16), &options.shed_naive_at)) {
-        std::fprintf(stderr, "error: bad --shed-naive-at value (want 0..1)\n");
-        return 2;
-      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       return 2;
@@ -113,8 +90,7 @@ int main(int argc, char** argv) {
                  "usage: %s [--listen=unix:/path|tcp:[host:]port] "
                  "[--backend=auto|hash|dense] [--deadline-ms=N] "
                  "[--max-memory-mb=N] [--max-sessions=N] "
-                 "[--admission-limit=N] [--shed-naive-at=F] "
-                 "<program.dynfo> <universe-size>\n",
+                 "[--admission-limit=N] <program.dynfo> <universe-size>\n",
                  argv[0]);
     return 2;
   }
